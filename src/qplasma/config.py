@@ -10,10 +10,14 @@ mode is commensurate by construction.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 
 MODELS = ("vlasov", "wigner", "hartree", "fluid")
 EQUILIBRIA = ("waterbag1d", "fd3d_projected_T0", "fd3d_projected")
+# Relative slack for times that are whole numbers of steps up to round-off,
+# such as 3 * 0.05 = 0.15000000000000002.
+STEP_GRID_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -96,6 +100,12 @@ _PARSERS = {
 }
 
 
+def _on_step_grid(t: float, dt: float) -> bool:
+    """Whether time t is a whole number of steps of size dt."""
+    n = t / dt
+    return math.isfinite(n) and abs(round(n) * dt - t) <= STEP_GRID_RTOL * max(t, dt)
+
+
 def validate(cfg: ScenarioConfig):
     """All range/consistency violations as a list of messages."""
     problems = []
@@ -108,6 +118,10 @@ def validate(cfg: ScenarioConfig):
     if cfg.model in ("vlasov", "wigner"):
         check(cfg.equilibrium in EQUILIBRIA,
               f"equilibrium must be one of {EQUILIBRIA}, got {cfg.equilibrium!r}")
+        if cfg.equilibrium == "fd3d_projected":
+            check(0.0 < cfg.t_over_tf <= 1.0,
+                  f"t_over_tf must be in (0, 1] for equilibrium "
+                  f"'fd3d_projected', got {cfg.t_over_tf}")
     check(0.0 <= cfg.alpha <= 1.0, f"alpha must be in [0, 1], got {cfg.alpha}")
     check(cfg.k > 0, f"k must be positive, got {cfg.k}")
     check(cfg.h >= 0, f"h must be nonnegative, got {cfg.h}")
@@ -125,6 +139,17 @@ def validate(cfg: ScenarioConfig):
           f"output_every must be at least 1, got {cfg.output_every}")
     check(all(t >= 0 for t in cfg.snapshot_times),
           "snapshot_times must be nonnegative")
+    if cfg.dt > 0 and cfg.t_end > 0:
+        check(_on_step_grid(cfg.t_end, cfg.dt),
+              f"t_end must be a whole number of steps of dt={cfg.dt}, "
+              f"got {cfg.t_end}")
+        for t in cfg.snapshot_times:
+            check(_on_step_grid(t, cfg.dt),
+                  f"snapshot_times must be whole numbers of steps of "
+                  f"dt={cfg.dt}, got {t}")
+            check(t <= cfg.t_end * (1.0 + STEP_GRID_RTOL),
+                  f"snapshot_times must not be after t_end={cfg.t_end}, "
+                  f"got {t}")
     if cfg.model == "fluid":
         check(cfg.gamma >= 1.0, f"gamma must be at least 1, got {cfg.gamma}")
         check(cfg.p0 > 0, f"p0 must be positive, got {cfg.p0}")

@@ -79,8 +79,9 @@ def run(cfg: ScenarioConfig) -> RunResult:
     """Advance the configured scenario to t_end.
 
     Diagnostics are recorded at t=0 and then every `output_every` steps;
-    state copies are kept at each requested snapshot time (rounded to the
-    nearest step).  Raises FloatingPointError on non-finite diagnostics.
+    state copies are kept at each requested snapshot time (validation puts
+    these and t_end on the step grid).  Raises FloatingPointError on
+    non-finite diagnostics.
     """
     state = build_initial(cfg)
     step, diag = _stepper(cfg)
@@ -155,14 +156,3 @@ def write_outputs(cfg: ScenarioConfig, result: RunResult, out_dir) -> list:
         write_state("final", _copy_state(cfg, result.final_state), cfg.t_end)
     return paths
 
-
-def run_vlasov(cfg: ScenarioConfig) -> diagio.DiagnosticSeries:
-    if cfg.model != "vlasov":
-        raise ValueError("config model must be 'vlasov'")
-    return run(cfg).series
-
-
-def run_wigner(cfg: ScenarioConfig) -> diagio.DiagnosticSeries:
-    if cfg.model != "wigner":
-        raise ValueError("config model must be 'wigner'")
-    return run(cfg).series

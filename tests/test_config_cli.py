@@ -59,6 +59,24 @@ class TestConfigParsing:
         again = parse_config(cfg.to_text())
         assert again == cfg
 
+    def test_times_off_the_step_grid_are_rejected(self):
+        # Each of these ran to another time than its label said.
+        cases = {"dt = 0.3\nt_end = 1.0\n": ("line 3", "t_end"),
+                 "dt = 0.3\nt_end = 0.9\nsnapshot_times = 0.5\n":
+                     ("line 4", "snapshot_times"),
+                 "t_end = 5.0\nsnapshot_times = 1.0,7.0\n":
+                     ("line 3", "after t_end")}
+        for body, (line, what) in cases.items():
+            with pytest.raises(ConfigError) as err:
+                parse_config("model = vlasov\n" + body)
+            assert any(line in p and what in p for p in err.value.problems)
+
+    def test_times_on_the_step_grid_up_to_round_off_are_accepted(self):
+        cfg = parse_config("model = vlasov\ndt = 0.05\n"
+                           f"t_end = {3 * 0.05!r}\n"
+                           f"snapshot_times = 0.0,0.1,{3 * 0.05!r}\n")
+        assert cfg.t_end == 3 * 0.05
+
     def test_overrides_apply_after_the_file(self):
         cfg = parse_config("model = vlasov\nalpha = 0.1\n",
                            overrides=["alpha=0.05", "n_x=64"])
@@ -194,6 +212,20 @@ class TestRunCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "alpha" in err and "n_x" in err
+
+
+    def test_zero_temperature_projected_equilibrium_is_a_config_error(
+            self, tmp_path, capsys):
+        cfg_path = tmp_path / "cold.cfg"
+        cfg_path.write_text(BASE_CONFIG.replace("t_over_tf = 0.01",
+                                                "t_over_tf = 0"))
+        rc = cli.main(["run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: line 3: t_over_tf must be in (0, 1]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompareCommand:

@@ -3,6 +3,7 @@ the linear oscillation frequency against the root finder."""
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from qplasma import vlasov
 from qplasma.dispersion import VLASOV_KINETIC, DielectricModel, solve_root
@@ -13,6 +14,29 @@ from qplasma.fields import PhaseSpaceGrid, SpatialGrid, moments
 
 def make_grid(n_x=128, n_v=128, v_max=3.0, length=2.0 * np.pi):
     return PhaseSpaceGrid(SpatialGrid(length, n_x), v_max, n_v)
+
+
+# The 2D spline interpolations the kernels replaced, kept as the reference.
+SPLINE_ORDER = 3
+
+
+def reference_advect_x(f, grid, dt):
+    n_v, n_x = f.shape
+    cols = np.arange(n_x)[None, :] - (grid.v[:, None] * dt) / grid.spatial.dx
+    rows = np.broadcast_to(np.arange(n_v, dtype=float)[:, None], cols.shape)
+    return map_coordinates(f, [rows, cols], order=SPLINE_ORDER,
+                           mode="grid-wrap")
+
+
+def reference_advect_v(f, grid, accel, dt):
+    n_v, n_x = f.shape
+    rows = np.arange(n_v, dtype=float)[:, None] - (accel[None, :] * dt) / grid.dv
+    cols = np.broadcast_to(np.arange(n_x, dtype=float)[None, :], rows.shape)
+    return map_coordinates(f, [rows, cols], order=SPLINE_ORDER,
+                           mode="grid-constant", cval=0.0)
+
+
+KERNEL_TOL = 1e-13  # of max|f|
 
 
 def total_mass(state):
@@ -72,6 +96,62 @@ class TestAdvection:
         accel = np.full(grid.spatial.n_x, grid.dv)  # exactly one cell per unit time
         shifted = vlasov.advect_v(f, grid, accel, 1.0)
         assert np.max(np.abs(shifted[1:, :] - f[:-1, :])) < 1e-10
+
+
+# A non-square grid with odd n_x, and one with n_v < n_x.
+KERNEL_GRIDS = [make_grid(n_x=33, n_v=48, v_max=2.0),
+                make_grid(n_x=64, n_v=40, v_max=3.0, length=5.0)]
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("cells", [0.3, -0.45, 4.6, -6.2])
+    def test_free_streaming(self, grid, cells):
+        # The fastest row moves `cells` cells; the others proportionally.
+        f = np.random.default_rng(1).random((grid.n_v, grid.spatial.n_x))
+        dt = cells * grid.spatial.dx / grid.v_max
+        got = vlasov.advect_x(f, grid, dt)
+        assert np.max(np.abs(got - reference_advect_x(f, grid, dt))) \
+            < KERNEL_TOL * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("cells", [0.7, 5.5])
+    def test_acceleration(self, grid, cells):
+        # Every column moves by its own shift of up to `cells` cells, both
+        # signs.
+        rng = np.random.default_rng(2)
+        f = rng.random((grid.n_v, grid.spatial.n_x))
+        dt = 0.05
+        accel = cells * grid.dv / dt * rng.uniform(-1.0, 1.0, grid.spatial.n_x)
+        got = vlasov.advect_v(f, grid, accel, dt)
+        assert np.max(np.abs(got - reference_advect_v(f, grid, accel, dt))) \
+            < KERNEL_TOL * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    def test_acceleration_through_the_box_edge(self, grid):
+        # Shifts from a fraction of the box to far beyond it, both signs:
+        # mass leaves through the v edges and none comes back in.
+        rng = np.random.default_rng(3)
+        f = rng.random((grid.n_v, grid.spatial.n_x))
+        cells = grid.n_v * rng.uniform(-2.5, 2.5, grid.spatial.n_x)
+        accel = cells * grid.dv
+        got = vlasov.advect_v(f, grid, accel, 1.0)
+        assert np.max(np.abs(got - reference_advect_v(f, grid, accel, 1.0))) \
+            < KERNEL_TOL * np.max(np.abs(f))
+        gone = np.abs(cells) > grid.n_v + 16
+        assert gone.any() and np.all(got[:, gone] == 0.0)
+        assert np.sum(got) < 0.9 * np.sum(f)
+
+    def test_each_grid_and_dt_uses_its_own_table(self):
+        rng = np.random.default_rng(4)
+        fields = {grid: rng.random((grid.n_v, grid.spatial.n_x))
+                  for grid in KERNEL_GRIDS}
+        for _ in range(2):
+            for dt in (0.1, -0.37):
+                for grid, f in fields.items():
+                    got = vlasov.advect_x(f, grid, dt)
+                    want = reference_advect_x(f, grid, dt)
+                    assert np.max(np.abs(got - want)) < KERNEL_TOL
 
 
 class TestStep:
