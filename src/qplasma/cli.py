@@ -9,9 +9,7 @@ and every emitted file embeds the config hash.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +34,6 @@ DISPERSION_KINDS = {
     "multistream": MULTISTREAM,
     "fluid": QUANTUM_FLUID,
 }
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QPLASMA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_params(args) -> int:
@@ -162,14 +152,7 @@ def cmd_compare(args) -> int:
         print(f"error: configs differ in grid/time keys {mismatched}; "
               "compare requires matching discretization", file=sys.stderr)
         return 2
-    if _worker_count() >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fa = pool.submit(simulate.run, cfg_a)
-            fb = pool.submit(simulate.run, cfg_b)
-            ra, rb = fa.result(), fb.result()
-    else:
-        ra, rb = simulate.run(cfg_a), simulate.run(cfg_b)
-    sa, sb = ra.series, rb.series
+    sa, sb = simulate.run(cfg_a).series, simulate.run(cfg_b).series
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / (f"compare_{cfg_a.model}_{cfg_a.config_hash()}_"

@@ -161,59 +161,41 @@ def validate(cfg: ScenarioConfig):
 
 def parse_config(text: str, overrides=None) -> ScenarioConfig:
     """Parse and validate; raises ConfigError listing every problem with
-    its line number.  `overrides` is an iterable of extra "key=value"
-    strings applied after the file (line number reported as override)."""
+    its source, ``line N`` of the text or ``override``.  `overrides` is an
+    iterable of extra "key=value" lines applied after the text."""
     problems = []
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    sources = {}
+    entries = [(f"line {lineno}", raw)
+               for lineno, raw in enumerate(text.splitlines(), start=1)]
+    entries += [("override", item) for item in overrides or ()]
+    for source, raw in entries:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            problems.append(f"line {lineno}: expected key = value, got {raw!r}")
+            problems.append(f"{source}: expected key = value, got {raw!r}")
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in _PARSERS:
-            problems.append(f"line {lineno}: unknown key {key!r}")
+            problems.append(f"{source}: unknown key {key!r}")
             continue
         try:
             values[key] = _PARSERS[key](val)
         except ValueError:
-            problems.append(
-                f"line {lineno}: bad value for {key!r}: {val!r}")
-    for item in overrides or ():
-        if "=" not in item:
-            problems.append(f"override {item!r}: expected key=value")
+            problems.append(f"{source}: bad value for {key!r}: {val!r}")
             continue
-        key, _, val = item.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _PARSERS:
-            problems.append(f"override: unknown key {key!r}")
-            continue
-        try:
-            values[key] = _PARSERS[key](val)
-        except ValueError:
-            problems.append(f"override: bad value for {key!r}: {val!r}")
+        sources[key] = source
     if "model" not in values and not problems:
         problems.append("missing required key 'model'")
     if problems:
         raise ConfigError(problems)
     cfg = ScenarioConfig(**values)
-    range_problems = validate(cfg)
-    if range_problems:
-        # attach line numbers where we can
-        lines = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if "=" in line:
-                lines[line.partition("=")[0].strip()] = lineno
-        annotated = []
-        for p in range_problems:
-            key = p.split(" ", 1)[0]
-            if key in lines:
-                annotated.append(f"line {lines[key]}: {p}")
-            else:
-                annotated.append(p)
-        raise ConfigError(annotated)
+    # Each range problem names its key first; blame the entry that set it.
+    for p in validate(cfg):
+        key = p.split(" ", 1)[0]
+        problems.append(f"{sources[key]}: {p}" if key in sources else p)
+    if problems:
+        raise ConfigError(problems)
     return cfg

@@ -11,6 +11,7 @@ a length-prefixed UTF-8 JSON header and a row-major float64 payload.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -49,12 +50,6 @@ class DiagnosticSeries:
         t = np.asarray(self.times, dtype=float)
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise ValueError("time stamps must be strictly increasing")
-
-    @classmethod
-    def empty(cls, model: str = "", config_hash: str = "") -> "DiagnosticSeries":
-        z = np.empty(0)
-        return cls(z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy(),
-                   model=model, config_hash=config_hash)
 
 
 class SeriesRecorder:
@@ -111,6 +106,27 @@ def read_series_csv(path) -> DiagnosticSeries:
                             model=model, config_hash=config_hash)
 
 
+def _write_container(path, channels: dict, header: dict,
+                     extra_header: dict | None) -> None:
+    """Write magic, version, header length, the JSON header (completed with
+    the channel names, shape and payload checksum) and the channels as one
+    row-major float64 payload."""
+    first = next(iter(channels.values()))
+    payload = b"".join(np.ascontiguousarray(c, dtype="<f8").tobytes()
+                       for c in channels.values())
+    header = dict(header, channels=list(channels), shape=list(first.shape),
+                  payload_crc32=zlib.crc32(payload) & 0xFFFFFFFF)
+    if extra_header:
+        header.update(extra_header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(SNAPSHOT_MAGIC)
+        fh.write(struct.pack("<I", SNAPSHOT_VERSION))
+        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(header_bytes)
+        fh.write(payload)
+
+
 def write_snapshot(path, f: np.ndarray, grid: PhaseSpaceGrid, time: float,
                    model: str, H: float = 0.0, config_hash: str = "",
                    split_sign_channels: bool = False,
@@ -123,7 +139,6 @@ def write_snapshot(path, f: np.ndarray, grid: PhaseSpaceGrid, time: float,
         channels = {"f_plus": np.maximum(f, 0.0), "f_minus": np.maximum(-f, 0.0)}
     else:
         channels = {"f": f}
-    payload = b"".join(np.ascontiguousarray(c).tobytes() for c in channels.values())
     header = {
         "grid": {"length": grid.spatial.length, "n_x": grid.spatial.n_x,
                  "v_max": grid.v_max, "n_v": grid.n_v},
@@ -131,19 +146,8 @@ def write_snapshot(path, f: np.ndarray, grid: PhaseSpaceGrid, time: float,
         "model": model,
         "H": float(H),
         "config_hash": config_hash,
-        "channels": list(channels.keys()),
-        "shape": [grid.n_v, grid.spatial.n_x],
-        "payload_crc32": zlib.crc32(payload) & 0xFFFFFFFF,
     }
-    if extra_header:
-        header.update(extra_header)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<I", SNAPSHOT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+    _write_container(path, channels, header, extra_header)
 
 
 def write_wavefunction_snapshot(path, psi: np.ndarray, grid, time: float,
@@ -153,34 +157,22 @@ def write_wavefunction_snapshot(path, psi: np.ndarray, grid, time: float,
     """Serialize a set of complex wavefunctions (N, n_x) as real/imaginary
     channel pairs in the same container format."""
     psi = np.atleast_2d(np.asarray(psi, dtype=complex))
-    channels = {"psi_re": np.ascontiguousarray(psi.real, dtype="<f8"),
-                "psi_im": np.ascontiguousarray(psi.imag, dtype="<f8")}
-    payload = b"".join(c.tobytes() for c in channels.values())
     header = {
         "grid": {"length": grid.length, "n_x": grid.n_x},
         "time": float(time),
         "model": model,
         "H": float(H),
         "config_hash": config_hash,
-        "channels": list(channels.keys()),
-        "shape": list(psi.shape),
-        "payload_crc32": zlib.crc32(payload) & 0xFFFFFFFF,
     }
     if probabilities is not None:
         header["probabilities"] = [float(p) for p in probabilities]
-    if extra_header:
-        header.update(extra_header)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<I", SNAPSHOT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+    _write_container(path, {"psi_re": psi.real, "psi_im": psi.imag}, header,
+                     extra_header)
 
 
 def read_snapshot(path):
-    """Returns (header dict, {channel: array}) and verifies the checksum."""
+    """Returns (header dict, {channel: array}); verifies the checksum and
+    that the payload holds exactly the channels and shape the header names."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
@@ -193,13 +185,16 @@ def read_snapshot(path):
         payload = fh.read()
     if (zlib.crc32(payload) & 0xFFFFFFFF) != header["payload_crc32"]:
         raise ValueError("snapshot payload checksum mismatch")
-    n_v, n_x = header["shape"]
-    count = n_v * n_x
-    channels = {}
-    for i, name in enumerate(header["channels"]):
-        chunk = payload[i * count * 8:(i + 1) * count * 8]
-        channels[name] = np.frombuffer(chunk, dtype="<f8").reshape(n_v, n_x).copy()
-    return header, channels
+    shape = tuple(header["shape"])
+    names = header["channels"]
+    size = 8 * math.prod(shape)
+    if len(payload) != len(names) * size:
+        raise ValueError(
+            f"snapshot payload is {len(payload)} bytes, but {len(names)} "
+            f"channels of shape {list(shape)} take {len(names) * size}")
+    return header, {name: np.frombuffer(payload, dtype="<f8", count=size // 8,
+                                        offset=i * size).reshape(shape).copy()
+                    for i, name in enumerate(names)}
 
 
 def fit_damping_rate(times: np.ndarray, field_energy: np.ndarray,

@@ -316,6 +316,15 @@ class Perturbation:
         if self.k <= 0:
             raise ValueError("k must be positive")
 
+    def modulation(self, grid: SpatialGrid) -> np.ndarray:
+        """1 + alpha cos kx on the grid; k must be an integer multiple of
+        2 pi / L, otherwise the perturbation is not periodic."""
+        mode = self.k * grid.length / (2.0 * np.pi)
+        if abs(mode - round(mode)) > 1e-9:
+            raise ValueError(
+                f"k={self.k} is not commensurate with the box L={grid.length}")
+        return 1.0 + self.alpha * np.cos(self.k * grid.x)
+
 
 def apply_cosine_perturbation(f0_values: np.ndarray, pert: Perturbation,
                               grid: PhaseSpaceGrid) -> np.ndarray:
@@ -324,11 +333,7 @@ def apply_cosine_perturbation(f0_values: np.ndarray, pert: Perturbation,
     f0_values may be a 1D profile (per v node) or a full (n_v, n_x) field.
     k must be an integer multiple of 2 pi / L.
     """
-    L = grid.spatial.length
-    mode = pert.k * L / (2.0 * np.pi)
-    if abs(mode - round(mode)) > 1e-9:
-        raise ValueError(f"k={pert.k} is not commensurate with the box L={L}")
-    modulation = 1.0 + pert.alpha * np.cos(pert.k * grid.spatial.x)
+    modulation = pert.modulation(grid.spatial)
     f0_values = np.asarray(f0_values, dtype=float)
     if f0_values.ndim == 1:
         return np.outer(f0_values, modulation)

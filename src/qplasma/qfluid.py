@@ -10,6 +10,11 @@ constant is a gauge choice making the kick vanish at equilibrium density.
 Integrating the wavefunction form keeps n = |Psi|^2 nonnegative and the
 mass exactly conserved, unlike a direct discretization of the density and
 velocity equations; the Madelung fields are kept as diagnostics only.
+
+In 1D this is the Hartree model of one stream of weight 1 with the
+enthalpy as a local potential (Manfredi & Haas, PRB 64, 075316, 2001), so
+the split-step integrator, the wavefunction diagnostics and the Madelung
+decomposition are the ones in `hartree`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import Perturbation, hbar_eff
-from .fields import SpatialGrid, poisson_periodic, spectral_derivative
+from .fields import SpatialGrid
+from .hartree import _madelung, _split_step, _wave_diagnostics
+
+# Occupation weight of the fluid's single stream.
+_ONE_STREAM = np.ones(1)
+_ONE_STREAM.flags.writeable = False
 
 
 @dataclass
@@ -51,11 +61,7 @@ def initial_state(grid: SpatialGrid, H: float,
         raise ValueError("the effective wavefunction form requires H > 0")
     n = np.ones(grid.n_x)
     if perturbation is not None:
-        mode = perturbation.k * grid.length / (2.0 * np.pi)
-        if abs(mode - round(mode)) > 1e-9:
-            raise ValueError(
-                f"k={perturbation.k} is not commensurate with the box")
-        n = n + perturbation.alpha * np.cos(perturbation.k * grid.x)
+        n = perturbation.modulation(grid)
     return FluidState(np.sqrt(n).astype(complex), grid, H, gamma, p0)
 
 
@@ -87,24 +93,14 @@ def check_splitstep_resonance(grid: SpatialGrid, H: float, dt: float) -> float:
 
 def step(state: FluidState, dt: float) -> FluidState:
     """Unitary split-step: half kinetic, field solve, kick, half kinetic."""
-    grid = state.grid
-    hb = hbar_eff(state.H)
-    if check_splitstep_resonance(grid, state.H, dt) >= 1.0:
+    if check_splitstep_resonance(state.grid, state.H, dt) >= 1.0:
         warnings.warn(
             "kinetic phase per step exceeds pi at the grid cutoff; "
             "split-step resonance can pump grid modes, reduce dt",
             RuntimeWarning)
-    half = np.exp(-0.5j * hb * grid.wavenumbers**2 * (0.5 * dt))
-    psi = np.fft.ifft(np.fft.fft(state.psi) * half)
-    n = np.abs(psi) ** 2
-    phi = poisson_periodic(n, grid)
-    potential = -phi + enthalpy(n, state.gamma, state.p0)
-    psi = psi * np.exp(-1j * (dt / hb) * potential)
-    psi = np.fft.ifft(np.fft.fft(psi) * half)
-    if not np.all(np.isfinite(psi.view(float))):
-        raise FloatingPointError(
-            f"non-finite wavefunction at t={state.time + dt:.3f}")
-    return FluidState(psi, grid, state.H, state.gamma, state.p0,
+    psi = _split_step(state.psi[None, :], _ONE_STREAM, state.grid, state.H,
+                      dt, lambda n: enthalpy(n, state.gamma, state.p0))
+    return FluidState(psi[0], state.grid, state.H, state.gamma, state.p0,
                       state.time + dt)
 
 
@@ -115,31 +111,14 @@ def diagnostics(state: FluidState):
     energy of the closure, so that field + transport is the conserved
     functional of the model.
     """
-    grid = state.grid
-    hb = hbar_eff(state.H)
-    n = state.density()
-    phi = poisson_periodic(n, grid)
-    efield = spectral_derivative(phi, grid)
-    field_energy = 0.5 * float(np.mean(efield**2))
-    dpsi = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(state.psi))
-    kinetic = 0.5 * hb**2 * float(np.mean(np.abs(dpsi) ** 2))
-    internal = float(np.mean(internal_energy(n, state.gamma, state.p0)))
-    momentum = hb * float(np.mean(np.imag(np.conj(state.psi) * dpsi)))
-    return field_energy, kinetic + internal, float(np.mean(n)), momentum
+    field_energy, kinetic, mass, momentum = _wave_diagnostics(
+        state.psi[None, :], _ONE_STREAM, state.grid, state.H)
+    internal = float(np.mean(internal_energy(state.density(), state.gamma,
+                                             state.p0)))
+    return field_energy, kinetic + internal, mass, momentum
 
 
 def madelung_fields(state: FluidState, vacuum_fraction: float = 1e-8):
-    """Density and flow velocity (n, u) with a vacuum mask.
-
-    u comes from the local phase increment over two cells, needing no
-    global unwrapping; cells with negligible density are flagged True in
-    the mask and their u zeroed.
-    """
-    psi = state.psi
-    hb = hbar_eff(state.H)
-    n = np.abs(psi) ** 2
-    u = hb * np.angle(np.roll(psi, -1) * np.conj(np.roll(psi, 1))) / (
-        2.0 * state.grid.dx)
-    mask = n < vacuum_fraction * n.max()
-    u = np.where(mask, 0.0, u)
-    return n, u, mask
+    """Density and flow velocity (n, u) with a vacuum mask, as
+    hartree.madelung_decompose gives them for one stream."""
+    return _madelung(state.psi, state.H, state.grid.dx, vacuum_fraction)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from types import ModuleType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,42 +39,50 @@ def stream_lattice_spec(cfg: ScenarioConfig, grid: SpatialGrid) -> StreamSpec:
     return fd_stream_occupations(cfg.t_over_tf, 1.0, velocities)
 
 
+def _kinetic_setup(cfg: ScenarioConfig, spatial: SpatialGrid):
+    return (PhaseSpaceGrid(spatial, cfg.v_max, cfg.n_v),
+            make_equilibrium(cfg.equilibrium, cfg.t_over_tf))
+
+
+def _streams(cfg: ScenarioConfig, spatial: SpatialGrid, pert):
+    streams = plane_wave_mixture(stream_lattice_spec(cfg, spatial), spatial,
+                                 cfg.h)
+    return streams if pert is None else hartree.perturb_streams(streams, pert)
+
+
+class _Model(NamedTuple):
+    solver: ModuleType  # step(state, dt) and diagnostics(state)
+    build: Callable     # (cfg, spatial grid, perturbation or None) -> state
+    array: str          # f (phase-space models) or psi (wavefunctions)
+    snapshot: Callable  # state -> model-specific snapshot writer keywords
+
+
+# Model name -> how simulate drives it.  run() reads step and diagnostics
+# off the solver module each time it runs, so a function swapped onto the
+# module (as perfbench's step clock does) is the one called.
+MODELS = {
+    "vlasov": _Model(
+        vlasov, lambda cfg, sp, pert: vlasov.initial_state(
+            *_kinetic_setup(cfg, sp), pert),
+        "f", lambda state: {}),
+    "wigner": _Model(
+        wigner, lambda cfg, sp, pert: wigner.initial_state(
+            *_kinetic_setup(cfg, sp), cfg.h, pert),
+        "f", lambda state: {"split_sign_channels": True}),
+    "hartree": _Model(
+        hartree, _streams,
+        "psi", lambda state: {"probabilities": state.probabilities}),
+    "fluid": _Model(
+        qfluid, lambda cfg, sp, pert: qfluid.initial_state(
+            sp, cfg.h, pert, cfg.gamma, cfg.p0),
+        "psi", lambda state: {}),
+}
+
+
 def build_initial(cfg: ScenarioConfig):
     pert = Perturbation(cfg.alpha, cfg.k) if cfg.alpha > 0 else None
     spatial = SpatialGrid(cfg.length, cfg.n_x)
-    if cfg.model in ("vlasov", "wigner"):
-        grid = PhaseSpaceGrid(spatial, cfg.v_max, cfg.n_v)
-        eq = make_equilibrium(cfg.equilibrium, cfg.t_over_tf)
-        if cfg.model == "vlasov":
-            return vlasov.initial_state(grid, eq, pert)
-        return wigner.initial_state(grid, eq, cfg.h, pert)
-    if cfg.model == "hartree":
-        spec = stream_lattice_spec(cfg, spatial)
-        streams = plane_wave_mixture(spec, spatial, cfg.h)
-        if pert is not None:
-            streams = hartree.perturb_streams(streams, pert)
-        return streams
-    if cfg.model == "fluid":
-        return qfluid.initial_state(spatial, cfg.h, pert, cfg.gamma, cfg.p0)
-    raise ValueError(f"unknown model {cfg.model!r}")
-
-
-def _stepper(cfg: ScenarioConfig):
-    if cfg.model == "vlasov":
-        return vlasov.step, vlasov.diagnostics
-    if cfg.model == "wigner":
-        return wigner.step, wigner.diagnostics
-    if cfg.model == "hartree":
-        return (lambda s, dt: hartree.step(s, dt)), hartree.diagnostics
-    return qfluid.step, qfluid.diagnostics
-
-
-def _copy_state(cfg: ScenarioConfig, state):
-    if cfg.model == "hartree":
-        return state.psi.copy()
-    if cfg.model == "fluid":
-        return state.psi.copy()
-    return state.f.copy()
+    return MODELS[cfg.model].build(cfg, spatial, pert)
 
 
 def run(cfg: ScenarioConfig) -> RunResult:
@@ -83,33 +93,26 @@ def run(cfg: ScenarioConfig) -> RunResult:
     these and t_end on the step grid).  Raises FloatingPointError on
     non-finite diagnostics.
     """
+    model = MODELS[cfg.model]
     state = build_initial(cfg)
-    step, diag = _stepper(cfg)
     recorder = diagio.SeriesRecorder(cfg.model, cfg.config_hash())
     n_steps = int(round(cfg.t_end / cfg.dt))
     snap_steps = {int(round(t / cfg.dt)): t for t in cfg.snapshot_times}
     snapshots = {}
-    metadata = {"initial_data": ("perturbed_equilibrium"
-                                 if cfg.model in ("vlasov", "wigner")
+    metadata = {"initial_data": ("perturbed_equilibrium" if model.array == "f"
                                  else "wavefunction")}
 
-    def record(i, s):
-        t = i * cfg.dt
-        vals = diag(s)
-        if not all(np.isfinite(v) for v in vals):
-            raise FloatingPointError(
-                f"non-finite diagnostics at t={t:.3f}: {vals}")
-        recorder.record(t, vals[0], vals[1], vals[2], vals[3])
-
-    record(0, state)
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = _copy_state(cfg, state)
-    for i in range(1, n_steps + 1):
-        state = step(state, cfg.dt)
+    for i in range(n_steps + 1):
+        if i > 0:
+            state = model.solver.step(state, cfg.dt)
         if i % cfg.output_every == 0 or i == n_steps:
-            record(i, state)
+            vals = model.solver.diagnostics(state)
+            if not all(np.isfinite(v) for v in vals):
+                raise FloatingPointError(
+                    f"non-finite diagnostics at t={i * cfg.dt:.3f}: {vals}")
+            recorder.record(i * cfg.dt, *vals)
         if i in snap_steps:
-            snapshots[snap_steps[i]] = _copy_state(cfg, state)
+            snapshots[snap_steps[i]] = getattr(state, model.array).copy()
     return RunResult(recorder.series(), state, snapshots, metadata)
 
 
@@ -127,32 +130,20 @@ def write_outputs(cfg: ScenarioConfig, result: RunResult, out_dir) -> list:
     cfg_path.write_text(cfg.to_text())
     paths.append(cfg_path)
 
-    spatial = SpatialGrid(cfg.length, cfg.n_x)
-    extra = dict(result.metadata)
+    model = MODELS[cfg.model]
+    state = result.final_state
+    writer = (diagio.write_snapshot if model.array == "f"
+              else diagio.write_wavefunction_snapshot)
+    options = dict(H=cfg.h, config_hash=h, extra_header=dict(result.metadata),
+                   **model.snapshot(state))
 
     def write_state(tag, payload, time):
         path = out / f"snapshot_{cfg.model}_{h}_{tag}.qpsn"
-        if cfg.model in ("vlasov", "wigner"):
-            grid = PhaseSpaceGrid(spatial, cfg.v_max, cfg.n_v)
-            diagio.write_snapshot(path, payload, grid, time, cfg.model,
-                                  H=cfg.h, config_hash=h,
-                                  split_sign_channels=(cfg.model == "wigner"),
-                                  extra_header=extra)
-        else:
-            psi = np.atleast_2d(payload)
-            probs = None
-            if cfg.model == "hartree":
-                probs = stream_lattice_spec(cfg, spatial).probabilities
-            diagio.write_wavefunction_snapshot(path, psi, spatial, time,
-                                               cfg.model, H=cfg.h,
-                                               probabilities=probs,
-                                               config_hash=h,
-                                               extra_header=extra)
+        writer(path, payload, state.grid, time, cfg.model, **options)
         paths.append(path)
 
     for t, payload in sorted(result.snapshots.items()):
         write_state(f"t{t:g}", payload, t)
     if cfg.save_final:
-        write_state("final", _copy_state(cfg, result.final_state), cfg.t_end)
+        write_state("final", getattr(state, model.array), cfg.t_end)
     return paths
-

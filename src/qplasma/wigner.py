@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import Equilibrium1D, Perturbation, hbar_eff
-from .fields import PhaseSpaceGrid, moments, poisson_periodic
+from .fields import PhaseSpaceGrid, poisson_periodic
 from . import vlasov as _vlasov
 
 
@@ -72,7 +72,7 @@ def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     return np.fft.irfft(fhat, n=grid.spatial.n_x, axis=1)
 
 
-def _kick_phase(phi_hat, k, lam, grid: PhaseSpaceGrid):
+def _kick_phase(phi_hat, k, lam):
     """phi(x + lam/2) - phi(x - lam/2) for every (lam, x) pair, by spectral
     interpolation of the periodic potential."""
     shift = 2j * np.sin(0.5 * k[None, :] * lam[:, None])
@@ -95,7 +95,7 @@ def potential_kick(f: np.ndarray, grid: PhaseSpaceGrid, H: float, dt: float,
     dV = np.zeros((grid.n_v, grid.spatial.n_x))
     if phi is not None:
         k = grid.spatial.wavenumbers
-        dV -= _kick_phase(np.fft.fft(phi), k, lam, grid)
+        dV -= _kick_phase(np.fft.fft(phi), k, lam)
     if external_potential is not None:
         dV += (external_potential(x[None, :] + 0.5 * lam[:, None])
                - external_potential(x[None, :] - 0.5 * lam[:, None]))
@@ -131,16 +131,8 @@ def step(state: WignerState, dt: float,
     return WignerState(f, state.grid, state.H, state.time + dt)
 
 
-def diagnostics(state: WignerState):
-    """Box-averaged (field energy, kinetic energy, mass, momentum)."""
-    grid = state.grid
-    n, flux, _ = moments(state.f, grid)
-    phi = poisson_periodic(n, grid.spatial)
-    efield = _vlasov.spectral_derivative(phi, grid.spatial)
-    field_energy = 0.5 * float(np.mean(efield**2))
-    kinetic = 0.5 * float(np.mean(np.sum(state.f * grid.v[:, None] ** 2,
-                                         axis=0) * grid.dv))
-    return field_energy, kinetic, float(np.mean(n)), float(np.mean(flux))
+# The diagnostics read only f and its grid, as for the classical model.
+diagnostics = _vlasov.diagnostics
 
 
 def semiclassical_limit_check(grid: PhaseSpaceGrid, eq: Equilibrium1D,

@@ -87,6 +87,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="override"):
             parse_config("model = vlasov\n", overrides=["nonsense"])
 
+    def test_range_problems_of_an_override_are_blamed_on_it(self):
+        cases = {"alpha=2.0": "override: alpha must be in [0, 1], got 2.0",
+                 "model=wigner": "override: model 'wigner' requires h > 0"}
+        for item, expected in cases.items():
+            with pytest.raises(ConfigError) as err:
+                parse_config("model = vlasov\nalpha = 0.1\n",
+                             overrides=[item])
+            assert err.value.problems == [expected]
+
     def test_hash_is_stable_and_sensitive(self):
         a = parse_config("model = vlasov\n")
         b = parse_config("model = vlasov\nalpha = 0.1\n")

@@ -2,6 +2,10 @@
 series and snapshot round-trips, corruption detection and the phase-space
 vortex detector."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -132,6 +136,36 @@ class TestSnapshots:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="checksum"):
             read_snapshot(path)
+
+    def rewrite(self, path, edit_header=None, extra_payload=b""):
+        """Rewrite a snapshot with an edited header and extra payload bytes,
+        recomputing the checksum so only the shape check can object."""
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        payload = raw[12 + hlen:] + extra_payload
+        if edit_header:
+            edit_header(header)
+        header["payload_crc32"] = zlib.crc32(payload) & 0xFFFFFFFF
+        header_bytes = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(header_bytes))
+                         + header_bytes + payload)
+
+    def test_payload_length_must_match_the_header_shape(self, tmp_path):
+        grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 16), 3.0, 8)
+        f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
+        path = tmp_path / "snap.qpsn"
+        write_snapshot(path, f, grid, 0.0, "vlasov")
+        self.rewrite(path, edit_header=lambda h: h.update(shape=[8, 8]))
+        with pytest.raises(ValueError, match="payload"):
+            read_snapshot(path)
+        write_snapshot(path, f, grid, 0.0, "vlasov")
+        self.rewrite(path, extra_payload=bytes(64))
+        with pytest.raises(ValueError, match="payload"):
+            read_snapshot(path)
+        write_snapshot(path, f, grid, 0.0, "vlasov")
+        self.rewrite(path)
+        assert np.array_equal(read_snapshot(path)[1]["f"], f)
 
     def test_wrong_magic_is_rejected(self, tmp_path):
         path = tmp_path / "bogus.qpsn"
