@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import label
-from scipy.stats import linregress
 
 from .fields import PhaseSpaceGrid
 
@@ -197,6 +196,19 @@ def read_snapshot(path):
                     for i, name in enumerate(names)}
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares slope of y against x and its standard error, as
+    scipy.stats.linregress gives them (error 0 for two points)."""
+    dx = x - np.mean(x)
+    dy = y - np.mean(y)
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx
+    if x.size == 2:
+        return slope, 0.0
+    resid = dy - slope * dx
+    return slope, math.sqrt(float(resid @ resid) / (x.size - 2) / sxx)
+
+
 def fit_damping_rate(times: np.ndarray, field_energy: np.ndarray,
                      window: tuple[float, float] | None = None,
                      min_peaks: int = 5):
@@ -221,9 +233,9 @@ def fit_damping_rate(times: np.ndarray, field_energy: np.ndarray,
             f"only {peak_idx.size} field-energy peaks in window, "
             f"need at least {min_peaks}")
     tp = t[peak_idx]
-    fit = linregress(tp, np.log(w[peak_idx]))
-    gamma = -0.5 * fit.slope
-    gamma_err = 0.5 * fit.stderr
+    slope, slope_err = _line_fit(tp, np.log(w[peak_idx]))
+    gamma = -0.5 * slope
+    gamma_err = 0.5 * slope_err
     spacing = np.diff(tp)
     omega = np.pi / float(np.mean(spacing))
     omega_err = omega * float(np.std(spacing) / np.mean(spacing)) / max(

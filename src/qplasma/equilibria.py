@@ -275,32 +275,31 @@ def wigner_of_mixture(streams: StreamSet, grid: PhaseSpaceGrid) -> np.ndarray:
 
     Uses the lambda grid dual to the v grid (lambda_m = m * 2 pi hbar_eff /
     (n_v dv)) and periodic spectral interpolation of psi at x +- lambda/2.
-    The result is real up to round-off and its v-integral equals the
-    mixture density pointwise (exact by construction of the dual grid).
+    The correlation obeys g(-lambda, x) = conj(g(lambda, x)), so only the
+    rows lambda >= 0 are built, one stream at a time, and the v transform
+    is an irfft: the result is real and its v-integral equals the mixture
+    density pointwise (exact by construction of the dual grid).
     """
     if streams.grid != grid.spatial:
         raise ValueError("stream set and phase-space grid use different x grids")
     hb = hbar_eff(streams.H)
-    n_x, n_v = grid.spatial.n_x, grid.n_v
-    dv = grid.dv
-    dlam = 2.0 * np.pi * hb / (n_v * dv)
-    lam = np.fft.fftfreq(n_v, d=1.0 / n_v) * dlam  # FFT ordering
+    n_v = grid.n_v
+    dlam = 2.0 * np.pi * hb / (n_v * grid.dv)
+    lam = dlam * np.arange(n_v // 2 + 1)
 
-    q = grid.spatial.wavenumbers  # (n_x,)
-    # psi(x + lam/2) for all lam: inverse FFT of psi_hat * exp(i q lam / 2)
-    psi_hat = np.fft.fft(streams.psi, axis=-1)  # (N, n_x)
-    shift = np.exp(0.5j * np.outer(lam, q))     # (n_v, n_x)
-    psi_plus = np.fft.ifft(psi_hat[:, None, :] * shift[None, :, :], axis=-1)
-    psi_minus = np.fft.ifft(psi_hat[:, None, :] * np.conj(shift)[None, :, :],
-                            axis=-1)
-    corr = np.einsum("a,alx->lx", streams.probabilities,
-                     np.conj(psi_plus) * psi_minus)  # g(lambda, x)
+    # psi(x +- lam/2) for all lam: inverse FFT of psi_hat * exp(+-i q lam / 2)
+    shift = np.exp(0.5j * np.outer(lam, grid.spatial.wavenumbers))
+    corr = np.zeros(shift.shape, dtype=complex)  # g(lambda, x)
+    for p, psi_hat in zip(streams.probabilities,
+                          np.fft.fft(streams.psi, axis=-1)):
+        psi_plus = np.fft.ifft(psi_hat * shift, axis=-1)
+        psi_minus = np.fft.ifft(psi_hat * np.conj(shift), axis=-1)
+        corr += p * np.conj(psi_plus) * psi_minus
 
     # f(v_j, x) = (dlam / 2 pi hb) sum_m g(lam_m, x) exp(i v_j lam_m / hb)
     # with v_j = -v_max + j dv this is an inverse DFT times a v-dependent phase.
-    phase = np.exp(1j * (-grid.v_max) * lam / hb)  # (n_v,)
-    f = np.fft.ifft(corr * phase[:, None], axis=0) * n_v * dlam / (2.0 * np.pi * hb)
-    return np.real(f)
+    corr *= np.exp(1j * (-grid.v_max) * lam / hb)[:, None]
+    return np.fft.irfft(corr, n=n_v, axis=0) * (n_v * dlam / (2.0 * np.pi * hb))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import spline_filter1d
 
 from .equilibria import Equilibrium1D, Perturbation, apply_cosine_perturbation
-from .fields import PhaseSpaceGrid, moments, poisson_periodic, spectral_derivative
+from .fields import PhaseSpaceGrid, poisson_periodic, spectral_derivative
 
 # Zero rows scipy.ndimage puts on each side of the velocity axis before the
 # "grid-constant" spline prefilter; the coefficients depend on this count.
@@ -148,11 +148,12 @@ def step(state: VlasovState, dt: float) -> VlasovState:
 
 def diagnostics(state: VlasovState):
     """Box-averaged (field energy, kinetic energy, mass, momentum)."""
-    grid = state.grid
-    n, flux, _ = moments(state.f, grid)
+    grid, f = state.grid, state.f
+    v = grid.v[:, None]
+    n = np.sum(f, axis=0) * grid.dv
+    flux = np.sum(f * v, axis=0) * grid.dv
     phi = poisson_periodic(n, grid.spatial)
     efield = spectral_derivative(phi, grid.spatial)
     field_energy = 0.5 * float(np.mean(efield**2))
-    kinetic = 0.5 * float(np.mean(np.sum(state.f * grid.v[:, None] ** 2,
-                                         axis=0) * grid.dv))
+    kinetic = 0.5 * float(np.mean(np.sum(f * v**2, axis=0) * grid.dv))
     return field_energy, kinetic, float(np.mean(n)), float(np.mean(flux))

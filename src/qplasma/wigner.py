@@ -12,10 +12,20 @@ phase is -i dt lam phi'(x) / hbar_eff, which shifts velocities by +phi' dt,
 the classical force of the kinetic equation; that limit fixes the sign.
 Free streaming is a spectral shift in x.  The lam = 0 mode (the density)
 is untouched by the kick, so mass is conserved to round-off.
+
+The phase difference is odd in lam and f is real, so the kicked transform
+keeps the symmetry g(x, -lam) = conj(g(x, lam)): the kick works on the
+n_v/2 + 1 rows lam >= 0 of an rfft over v and returns by irfft (Suh, Feix
+& Bertrand, J. Comput. Phys. 94, 403, 1991).  The unpaired Nyquist row is
+left unkicked so f stays real.  The tables that depend only on the grid
+and H (the lam >= 0 nodes and the spectral shift 2i sin(k lam/2)) or on
+the grid and dt (the streaming phases exp(-i k v dt)) are built once and
+kept, read-only, in small functools.lru_cache helpers.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -64,19 +74,35 @@ def from_phase_space_field(f: np.ndarray, grid: PhaseSpaceGrid,
     return WignerState(np.array(f, dtype=float), grid, H)
 
 
+@functools.lru_cache(maxsize=4)
+def _stream_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
+    """Phase shift exp(-i k v dt), indexed [i_v, k], of an rfft over x."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.spatial.n_x, d=grid.spatial.dx)
+    table = np.exp(-1j * k[None, :] * grid.v[:, None] * dt)
+    table.flags.writeable = False
+    return table
+
+
 def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     """Exact free streaming: phase shift exp(-i k v dt) per velocity row."""
-    k = 2.0 * np.pi * np.fft.rfftfreq(grid.spatial.n_x, d=grid.spatial.dx)
     fhat = np.fft.rfft(f, axis=1)
-    fhat *= np.exp(-1j * k[None, :] * grid.v[:, None] * dt)
+    fhat *= _stream_table(grid, dt)
     return np.fft.irfft(fhat, n=grid.spatial.n_x, axis=1)
 
 
-def _kick_phase(phi_hat, k, lam):
-    """phi(x + lam/2) - phi(x - lam/2) for every (lam, x) pair, by spectral
-    interpolation of the periodic potential."""
+@functools.lru_cache(maxsize=4)
+def _kick_tables(grid: PhaseSpaceGrid, H: float):
+    """The nodes lam >= 0 (rows 0 .. n_v/2 of an rfft over v) and, indexed
+    [lam, k] on the rfft wavenumbers of x, the multiplier 2i sin(k lam/2)
+    that maps the transform of phi to phi(x + lam/2) - phi(x - lam/2)."""
+    # The Nyquist node -lam_max is taken at +lam_max; the phase difference
+    # is odd in lam, so only its sign changes.
+    lam = np.abs(lambda_nodes(grid, H)[:grid.n_v // 2 + 1])
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.spatial.n_x, d=grid.spatial.dx)
     shift = 2j * np.sin(0.5 * k[None, :] * lam[:, None])
-    return np.fft.ifft(phi_hat[None, :] * shift, axis=1).real
+    lam.flags.writeable = False
+    shift.flags.writeable = False
+    return lam, shift
 
 
 def potential_kick(f: np.ndarray, grid: PhaseSpaceGrid, H: float, dt: float,
@@ -89,28 +115,31 @@ def potential_kick(f: np.ndarray, grid: PhaseSpaceGrid, H: float, dt: float,
     the potential energy and evaluated directly at x +/- lam/2 so it need
     not be periodic.
     """
-    hbar = hbar_eff(H)
-    lam = lambda_nodes(grid, H)
-    x = grid.spatial.x
-    dV = np.zeros((grid.n_v, grid.spatial.n_x))
+    scale = dt / hbar_eff(H)
+    lam, shift = _kick_tables(grid, H)
+    n_x = grid.spatial.n_x
+    # phase[lam, x] = (dt / hbar_eff) [V(x + lam/2) - V(x - lam/2)]
+    phase = np.zeros((lam.size, n_x))
     if phi is not None:
-        k = grid.spatial.wavenumbers
-        dV -= _kick_phase(np.fft.fft(phi), k, lam)
+        phase -= np.fft.irfft(np.fft.rfft(phi) * scale * shift, n=n_x, axis=1)
     if external_potential is not None:
-        dV += (external_potential(x[None, :] + 0.5 * lam[:, None])
-               - external_potential(x[None, :] - 0.5 * lam[:, None]))
-    max_phase = float(np.max(np.abs(dV))) * dt / hbar
+        x = grid.spatial.x
+        phase += scale * (external_potential(x[None, :] + 0.5 * lam[:, None])
+                          - external_potential(x[None, :] - 0.5 * lam[:, None]))
+    max_phase = float(np.max(np.abs(phase)))
     if max_phase > np.pi:
         warnings.warn(
             f"kick phase {max_phase:.2f} exceeds pi: dual-space aliasing "
             "likely; reduce dt or refine the velocity grid", RuntimeWarning)
-    g = np.fft.fft(f, axis=0)
-    mult = np.exp(1j * (dt / hbar) * dV)
     # The unpaired Nyquist mode must stay self-conjugate to keep f real;
     # leave it unkicked.
-    mult[grid.n_v // 2, :] = 1.0
-    g *= mult
-    return np.fft.ifft(g, axis=0).real
+    phase[-1] = 0.0
+    kick = np.empty(phase.shape, dtype=complex)  # exp(i phase)
+    np.cos(phase, out=kick.real)
+    np.sin(phase, out=kick.imag)
+    g = np.fft.rfft(f, axis=0)
+    g *= kick
+    return np.fft.irfft(g, n=grid.n_v, axis=0)
 
 
 def step(state: WignerState, dt: float,

@@ -2,6 +2,11 @@
 validation with collected errors, canonical round-trips, deterministic
 run outputs and the comparison guard."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -270,3 +275,18 @@ class TestCompareCommand:
         rc = cli.main(["compare", str(a), str(b), "--out", str(tmp_path)])
         assert rc == 2
         assert "n_x" in capsys.readouterr().err
+
+
+class TestImportFootprint:
+    def test_cli_import_does_not_load_scipy_stats(self):
+        # scipy.stats adds about 18 MB of resident memory to every process
+        # that imports it; nothing in qplasma needs it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import qplasma.cli, sys; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -8,8 +8,9 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
-from qplasma.diagio import (DiagnosticSeries, SeriesRecorder,
+from qplasma.diagio import (DiagnosticSeries, SeriesRecorder, _line_fit,
                             damping_halt_time, detect_vortex,
                             fit_damping_rate, read_series_csv, read_snapshot,
                             write_series_csv, write_snapshot,
@@ -41,6 +42,29 @@ class TestDampingFit:
         w = np.exp(-0.1 * t) * np.cos(1.3 * t) ** 2
         with pytest.raises(ValueError, match="peaks"):
             fit_damping_rate(t, w, window=(0.0, 3.0))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 200])
+    def test_line_fit_matches_linregress(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0.0, 50.0, n))
+        y = -0.3 * x + rng.standard_normal(n)
+        slope, stderr = _line_fit(x, y)
+        want = linregress(x, y)
+        assert slope == pytest.approx(want.slope, rel=1e-10)
+        assert stderr == pytest.approx(want.stderr, rel=1e-10, abs=0.0)
+
+    def test_rate_error_matches_linregress_on_the_peaks(self):
+        # A noisy envelope, so the rate has a nonzero standard error.
+        rng = np.random.default_rng(8)
+        t = np.arange(0.0, 50.0, 0.01)
+        w = (np.exp(-0.1 * t + 0.05 * np.sin(0.7 * t + rng.uniform(0, 6)))
+             * np.cos(1.3 * t) ** 2)
+        g, _, g_err, _ = fit_damping_rate(t, w)
+        peaks = np.flatnonzero((w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:])) + 1
+        want = linregress(t[peaks], np.log(w[peaks]))
+        assert g == pytest.approx(-0.5 * want.slope, rel=1e-10)
+        assert g_err == pytest.approx(0.5 * want.stderr, rel=1e-10)
+        assert g_err > 1e-4
 
     def test_halt_time_of_a_decay_that_saturates(self):
         t = np.arange(0.0, 60.0, 0.01)

@@ -182,6 +182,55 @@ class TestPlaneWaveMixture:
         assert np.allclose(lattice, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
+# The full-lambda transform that the half-spectrum one replaced, kept as
+# the reference: all n_v dual rows and every stream at once.
+def reference_wigner_of_mixture(streams, grid):
+    hb = hbar_eff(streams.H)
+    n_v = grid.n_v
+    dlam = 2.0 * np.pi * hb / (n_v * grid.dv)
+    lam = np.fft.fftfreq(n_v, d=1.0 / n_v) * dlam
+    psi_hat = np.fft.fft(streams.psi, axis=-1)
+    shift = np.exp(0.5j * np.outer(lam, grid.spatial.wavenumbers))
+    psi_plus = np.fft.ifft(psi_hat[:, None, :] * shift[None, :, :], axis=-1)
+    psi_minus = np.fft.ifft(psi_hat[:, None, :] * np.conj(shift)[None, :, :],
+                            axis=-1)
+    corr = np.einsum("a,alx->lx", streams.probabilities,
+                     np.conj(psi_plus) * psi_minus)
+    phase = np.exp(1j * (-grid.v_max) * lam / hb)
+    f = np.fft.ifft(corr * phase[:, None], axis=0) * n_v * dlam / (2.0 * np.pi * hb)
+    return np.real(f)
+
+
+class TestMixtureTransformMatchesReference:
+    @pytest.mark.parametrize("n_x, n_v", [(64, 256), (33, 48)])
+    @pytest.mark.parametrize("H", [0.5, 1.0])
+    def test_random_mixture(self, n_x, n_v, H):
+        # Rough random wavefunctions with unequal occupations: every dual
+        # row and every x mode carries weight.
+        rng = np.random.default_rng(5)
+        spatial = SpatialGrid(2.0 * np.pi, n_x)
+        grid = PhaseSpaceGrid(spatial, v_max=3.2, n_v=n_v)
+        spec = fd_stream_occupations(0.05, 1.0, (-1.0, -0.5, 0.5, 1.0))
+        streams = plane_wave_mixture(spec, spatial, 1.0)
+        streams.H = H
+        streams.psi = (rng.standard_normal((4, n_x))
+                       + 1j * rng.standard_normal((4, n_x)))
+        got = wigner_of_mixture(streams, grid)
+        want = reference_wigner_of_mixture(streams, grid)
+        assert got.shape == want.shape == (n_v, n_x)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_perturbed_plane_wave_mixture(self):
+        spatial = SpatialGrid(2.0 * np.pi, 64)
+        grid = PhaseSpaceGrid(spatial, v_max=3.2, n_v=256)
+        spec = fd_stream_occupations(0.05, 1.0, (-1.0, -0.5, 0.5, 1.0))
+        streams = plane_wave_mixture(spec, spatial, 1.0)
+        streams.psi *= np.sqrt(1.0 + 0.05 * np.cos(spatial.x))
+        got = wigner_of_mixture(streams, grid)
+        want = reference_wigner_of_mixture(streams, grid)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
 class TestMixtureTransform:
     def setup_method(self):
         self.spatial = SpatialGrid(2.0 * np.pi, 64)

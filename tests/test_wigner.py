@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from qplasma import vlasov, wigner
-from qplasma.equilibria import (Perturbation, projected_fd_finite_t,
+from qplasma.equilibria import (Perturbation, hbar_eff, projected_fd_finite_t,
                                 projected_fd_zero_t)
-from qplasma.fields import PhaseSpaceGrid, SpatialGrid, moments
+from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, moments,
+                            poisson_periodic)
 
 
 def make_grid(n_x=64, n_v=128, v_max=3.0, length=2.0 * np.pi):
@@ -88,6 +89,102 @@ class TestStepBasics:
         with pytest.warns(RuntimeWarning, match="aliasing"):
             wigner.step(state, 0.5, external_potential=steep,
                         self_consistent=False)
+
+
+# The full-spectrum kernels the half-spectrum ones replaced, kept as the
+# reference: every table rebuilt per call, the kick on all n_v dual rows.
+def reference_advect_x(f, grid, dt):
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.spatial.n_x, d=grid.spatial.dx)
+    fhat = np.fft.rfft(f, axis=1)
+    fhat *= np.exp(-1j * k[None, :] * grid.v[:, None] * dt)
+    return np.fft.irfft(fhat, n=grid.spatial.n_x, axis=1)
+
+
+def reference_potential_kick(f, grid, H, dt, phi, external_potential=None):
+    hbar = hbar_eff(H)
+    lam = wigner.lambda_nodes(grid, H)
+    x = grid.spatial.x
+    dV = np.zeros((grid.n_v, grid.spatial.n_x))
+    if phi is not None:
+        k = grid.spatial.wavenumbers
+        shift = 2j * np.sin(0.5 * k[None, :] * lam[:, None])
+        dV -= np.fft.ifft(np.fft.fft(phi)[None, :] * shift, axis=1).real
+    if external_potential is not None:
+        dV += (external_potential(x[None, :] + 0.5 * lam[:, None])
+               - external_potential(x[None, :] - 0.5 * lam[:, None]))
+    mult = np.exp(1j * (dt / hbar) * dV)
+    mult[grid.n_v // 2, :] = 1.0
+    return np.fft.ifft(np.fft.fft(f, axis=0) * mult, axis=0).real
+
+
+# Odd and even n_x, and n_v below and above n_x.
+KERNEL_GRIDS = [make_grid(n_x=33, n_v=48, v_max=2.0),
+                make_grid(n_x=64, n_v=40, v_max=3.0, length=5.0)]
+KERNEL_TOL = 1e-13
+
+
+def random_potential(grid, rng):
+    phi = rng.uniform(-0.5, 0.5, grid.spatial.n_x)
+    return phi - phi.mean()
+
+
+def harmonic_well(grid):
+    x0 = 0.5 * grid.spatial.length
+    return lambda y: 0.5 * (y - x0) ** 2
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("dt", [0.025, -0.3])
+    def test_free_streaming_is_bit_identical(self, grid, dt):
+        f = np.random.default_rng(1).random((grid.n_v, grid.spatial.n_x))
+        assert np.array_equal(wigner.advect_x(f, grid, dt),
+                              reference_advect_x(f, grid, dt))
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("H", [0.5, 2.0])
+    @pytest.mark.parametrize("field", ["self", "external", "both"])
+    def test_kick(self, grid, H, field):
+        rng = np.random.default_rng(2)
+        f = rng.random((grid.n_v, grid.spatial.n_x))
+        phi = random_potential(grid, rng) if field != "external" else None
+        well = harmonic_well(grid) if field != "self" else None
+        dt = 0.01
+        got = wigner.potential_kick(f, grid, H, dt, phi, well)
+        want = reference_potential_kick(f, grid, H, dt, phi, well)
+        assert np.max(np.abs(got - want)) < KERNEL_TOL * np.max(np.abs(f))
+        # Far from the identity: the kick moved f by much more than the
+        # tolerance.
+        assert np.max(np.abs(got - f)) > 1e-3 * np.max(np.abs(f))
+
+    def test_each_grid_h_and_dt_uses_its_own_table(self):
+        rng = np.random.default_rng(4)
+        fields = {grid: (rng.random((grid.n_v, grid.spatial.n_x)),
+                         random_potential(grid, rng))
+                  for grid in KERNEL_GRIDS}
+        for _ in range(2):
+            for H, dt in ((0.5, 0.02), (2.0, -0.05)):
+                for grid, (f, phi) in fields.items():
+                    assert np.array_equal(wigner.advect_x(f, grid, dt),
+                                          reference_advect_x(f, grid, dt))
+                    got = wigner.potential_kick(f, grid, H, dt, phi)
+                    want = reference_potential_kick(f, grid, H, dt, phi)
+                    assert np.max(np.abs(got - want)) < KERNEL_TOL
+
+    def test_coupled_steps_match_the_reference_splitting(self):
+        grid = make_grid(n_x=64, n_v=128)
+        state = wigner.initial_state(grid, projected_fd_finite_t(t_over_tf=0.01),
+                                     1.0, Perturbation(0.1, 1.0))
+        f_ref = state.f
+        dt = 0.05
+        for _ in range(20):
+            state = wigner.step(state, dt)
+            f_ref = reference_advect_x(f_ref, grid, 0.5 * dt)
+            phi = poisson_periodic(np.sum(f_ref, axis=0) * grid.dv,
+                                   grid.spatial)
+            f_ref = reference_potential_kick(f_ref, grid, 1.0, dt, phi)
+            f_ref = reference_advect_x(f_ref, grid, 0.5 * dt)
+        assert np.max(np.abs(state.f - f_ref)) < 1e-12 * np.max(np.abs(f_ref))
 
 
 class TestHarmonicOracle:
