@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate
-from .config import ConfigError, parse_config
+from .config import EQUILIBRIA, ConfigError, parse_config
 from .dispersion import (MULTISTREAM, QUANTUM_FLUID, VLASOV_KINETIC,
                          WIGNER_KINETIC, DielectricModel, k_scan)
 from .equilibria import make_equilibrium
@@ -26,13 +26,6 @@ from .params import (PhysicalConditions, classify_regime,
 MATERIALS = {
     # electron density (1/m^3), temperature (K)
     "gold": (5.9e28, 300.0),
-}
-
-DISPERSION_KINDS = {
-    "vlasov": VLASOV_KINETIC,
-    "wigner": WIGNER_KINETIC,
-    "multistream": MULTISTREAM,
-    "fluid": QUANTUM_FLUID,
 }
 
 
@@ -93,16 +86,18 @@ def cmd_params(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    kind = DISPERSION_KINDS[args.model]
     eq = None
-    streams = None
-    if kind in (VLASOV_KINETIC, WIGNER_KINETIC):
-        eq = make_equilibrium(args.equilibrium, args.t_over_tf)
-    if kind == MULTISTREAM:
+    if args.model in (VLASOV_KINETIC, WIGNER_KINETIC):
+        try:
+            eq = make_equilibrium(args.equilibrium, args.t_over_tf)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+    if args.model == MULTISTREAM:
         print("error: multistream scans need a stream table; use the "
               "library API", file=sys.stderr)
         return 2
-    model = DielectricModel(kind, equilibrium=eq, streams=streams, H=args.h)
+    model = DielectricModel(args.model, equilibrium=eq, H=args.h)
     ks = np.linspace(args.kmin, args.kmax, args.nk)
     roots = k_scan(model, ks)
     lines = ["k,re_omega,im_omega,residual"]
@@ -117,18 +112,23 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def _load_config(path: str, overrides):
-    text = Path(path).read_text()
-    return parse_config(text, overrides)
-
-
-def cmd_run(args) -> int:
+def _load_configs(paths, overrides):
+    """The parsed config of each file, or None after printing the problems
+    of the first file that has any."""
     try:
-        cfg = _load_config(args.config, args.override)
+        return [parse_config(Path(path).read_text(), overrides)
+                for path in paths]
     except ConfigError as err:
         for p in err.problems:
             print(f"config error: {p}", file=sys.stderr)
+        return None
+
+
+def cmd_run(args) -> int:
+    cfgs = _load_configs([args.config], args.override)
+    if cfgs is None:
         return 2
+    [cfg] = cfgs
     result = simulate.run(cfg)
     paths = simulate.write_outputs(cfg, result, args.out)
     for p in paths:
@@ -137,13 +137,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        cfg_a = _load_config(args.config_a, args.override)
-        cfg_b = _load_config(args.config_b, args.override)
-    except ConfigError as err:
-        for p in err.problems:
-            print(f"config error: {p}", file=sys.stderr)
+    cfgs = _load_configs([args.config_a, args.config_b], args.override)
+    if cfgs is None:
         return 2
+    cfg_a, cfg_b = cfgs
     grid_keys = ("k", "periods", "n_x", "n_v", "v_max", "dt", "t_end",
                  "output_every")
     mismatched = [k for k in grid_keys
@@ -185,8 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("dispersion", help="root scan of a dielectric model")
-    p.add_argument("--model", choices=sorted(DISPERSION_KINDS), required=True)
-    p.add_argument("--equilibrium", default="fd3d_projected_T0")
+    p.add_argument("--model", required=True, choices=sorted(
+        (VLASOV_KINETIC, WIGNER_KINETIC, MULTISTREAM, QUANTUM_FLUID)))
+    p.add_argument("--equilibrium", choices=EQUILIBRIA,
+                   default="fd3d_projected_T0")
     p.add_argument("--t-over-tf", type=float, default=0.0, dest="t_over_tf")
     p.add_argument("--h", type=float, default=0.0)
     p.add_argument("--kmin", type=float, default=0.1)

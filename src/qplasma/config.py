@@ -45,7 +45,6 @@ class ScenarioConfig:
     output_every: int = 1
     snapshot_times: tuple = ()
     save_final: bool = False
-    out_dir: str = "."
     gamma: float = 3.0
     p0: float = 1.0 / 3.0
     n_streams: int = 4
@@ -90,14 +89,11 @@ def _parse_times(s: str) -> tuple:
     return tuple(float(tok) for tok in s.split(","))
 
 
-_PARSERS = {
-    "model": str, "equilibrium": str, "out_dir": str,
-    "t_over_tf": float, "alpha": float, "k": float, "h": float,
-    "v_max": float, "dt": float, "t_end": float, "gamma": float, "p0": float,
-    "periods": int, "n_x": int, "n_v": int, "output_every": int,
-    "n_streams": int,
-    "snapshot_times": _parse_times, "save_final": _parse_bool,
-}
+# The parser of each key, by the field's annotation (a string under
+# `from __future__ import annotations`).
+_PARSERS = {f.name: {"str": str, "float": float, "int": int,
+                     "tuple": _parse_times, "bool": _parse_bool}[f.type]
+            for f in dataclass_fields(ScenarioConfig)}
 
 
 def _on_step_grid(t: float, dt: float) -> bool:

@@ -105,15 +105,18 @@ def read_series_csv(path) -> DiagnosticSeries:
                             model=model, config_hash=config_hash)
 
 
-def _write_container(path, channels: dict, header: dict,
+def _write_container(path, channels: dict, header: dict, time: float,
+                     model: str, H: float, config_hash: str,
                      extra_header: dict | None) -> None:
     """Write magic, version, header length, the JSON header (completed with
-    the channel names, shape and payload checksum) and the channels as one
-    row-major float64 payload."""
+    the time, model, H, config hash, channel names, shape and payload
+    checksum) and the channels as one row-major float64 payload."""
     first = next(iter(channels.values()))
     payload = b"".join(np.ascontiguousarray(c, dtype="<f8").tobytes()
                        for c in channels.values())
-    header = dict(header, channels=list(channels), shape=list(first.shape),
+    header = dict(header, time=float(time), model=model, H=float(H),
+                  config_hash=config_hash, channels=list(channels),
+                  shape=list(first.shape),
                   payload_crc32=zlib.crc32(payload) & 0xFFFFFFFF)
     if extra_header:
         header.update(extra_header)
@@ -138,15 +141,10 @@ def write_snapshot(path, f: np.ndarray, grid: PhaseSpaceGrid, time: float,
         channels = {"f_plus": np.maximum(f, 0.0), "f_minus": np.maximum(-f, 0.0)}
     else:
         channels = {"f": f}
-    header = {
-        "grid": {"length": grid.spatial.length, "n_x": grid.spatial.n_x,
-                 "v_max": grid.v_max, "n_v": grid.n_v},
-        "time": float(time),
-        "model": model,
-        "H": float(H),
-        "config_hash": config_hash,
-    }
-    _write_container(path, channels, header, extra_header)
+    grid_header = {"length": grid.spatial.length, "n_x": grid.spatial.n_x,
+                   "v_max": grid.v_max, "n_v": grid.n_v}
+    _write_container(path, channels, {"grid": grid_header}, time, model, H,
+                     config_hash, extra_header)
 
 
 def write_wavefunction_snapshot(path, psi: np.ndarray, grid, time: float,
@@ -156,17 +154,11 @@ def write_wavefunction_snapshot(path, psi: np.ndarray, grid, time: float,
     """Serialize a set of complex wavefunctions (N, n_x) as real/imaginary
     channel pairs in the same container format."""
     psi = np.atleast_2d(np.asarray(psi, dtype=complex))
-    header = {
-        "grid": {"length": grid.length, "n_x": grid.n_x},
-        "time": float(time),
-        "model": model,
-        "H": float(H),
-        "config_hash": config_hash,
-    }
+    header = {"grid": {"length": grid.length, "n_x": grid.n_x}}
     if probabilities is not None:
         header["probabilities"] = [float(p) for p in probabilities]
     _write_container(path, {"psi_re": psi.real, "psi_im": psi.imag}, header,
-                     extra_header)
+                     time, model, H, config_hash, extra_header)
 
 
 def read_snapshot(path):
@@ -209,13 +201,19 @@ def _line_fit(x: np.ndarray, y: np.ndarray):
     return slope, math.sqrt(float(resid @ resid) / (x.size - 2) / sxx)
 
 
+def _peaks(w: np.ndarray) -> np.ndarray:
+    """Indices of the interior local maxima of w (plateaus count once)."""
+    interior = (w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:])
+    return np.flatnonzero(interior) + 1
+
+
 def fit_damping_rate(times: np.ndarray, field_energy: np.ndarray,
-                     window: tuple[float, float] | None = None,
-                     min_peaks: int = 5):
+                     window: tuple[float, float] | None = None):
     """Damping rate and frequency from the field-energy peak envelope.
 
     The field energy of a damped wave ~ exp(-2 gamma t) cos^2, so the
     log-peak slope is -2 gamma and consecutive peaks are pi / omega apart.
+    The fit needs at least 5 positive peaks in the window.
     Returns (gamma, omega, gamma_stderr, omega_stderr).
     """
     t = np.asarray(times, dtype=float)
@@ -225,13 +223,12 @@ def fit_damping_rate(times: np.ndarray, field_energy: np.ndarray,
         t, w = t[mask], w[mask]
     if t.size < 3:
         raise ValueError("window contains too few samples")
-    interior = (w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:])
-    peak_idx = np.flatnonzero(interior) + 1
+    peak_idx = _peaks(w)
     peak_idx = peak_idx[w[peak_idx] > 0]
-    if peak_idx.size < min_peaks:
+    if peak_idx.size < 5:
         raise ValueError(
             f"only {peak_idx.size} field-energy peaks in window, "
-            f"need at least {min_peaks}")
+            "need at least 5")
     tp = t[peak_idx]
     slope, slope_err = _line_fit(tp, np.log(w[peak_idx]))
     gamma = -0.5 * slope
@@ -249,8 +246,7 @@ def damping_halt_time(times: np.ndarray, field_energy: np.ndarray):
     first recovers.  Returns (t_halt, peak_times, peak_values)."""
     t = np.asarray(times, dtype=float)
     w = np.asarray(field_energy, dtype=float)
-    interior = (w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:])
-    peak_idx = np.flatnonzero(interior) + 1
+    peak_idx = _peaks(w)
     if peak_idx.size < 2:
         raise ValueError("too few field-energy peaks to locate a halt")
     tp, wp = t[peak_idx], w[peak_idx]
@@ -263,25 +259,23 @@ class VortexReport:
     present: bool
     width: float          # velocity half-extent, v_F units
     v_extent: float       # full velocity extent of the deviation region
-    x_fraction: float     # x coverage of that region / wavelength
+    x_fraction: float     # x coverage of that region / box length
 
 
-def detect_vortex(f: np.ndarray, grid: PhaseSpaceGrid, phase_velocity: float,
-                  wavelength: float | None = None,
-                  deviation_fraction: float = 0.2, min_v_cells: int = 3,
-                  min_x_fraction: float = 0.25, max_x_fraction: float = 0.9,
-                  v_window: float = 1.0) -> VortexReport:
+def detect_vortex(f: np.ndarray, grid: PhaseSpaceGrid,
+                  phase_velocity: float) -> VortexReport:
     """Deterministic proxy for a trapped phase-space vortex.
 
-    Within |v - v_phi| <= v_window the deviation of f from its x-average is
-    thresholded at `deviation_fraction` of the perturbation scale of the
+    Within |v - v_phi| <= 1 (one Fermi velocity) the deviation of f from
+    its x-average is thresholded at 0.2 of the perturbation scale of the
     window (its maximum absolute deviation).  A vortex is a *closed*
-    connected deviation region: it must span at least `min_v_cells`
-    velocity cells and between `min_x_fraction` and `max_x_fraction` of
-    one wavelength in x.  Regions wrapping (nearly) the whole period are
-    traveling-wave crests, not trapped structures, and are rejected; that
-    closure test is what separates a trapped vortex from the open
-    oscillation bands of the quantum runs at the same amplitude.
+    connected deviation region: it must span at least 3 velocity cells and
+    between 0.25 and 0.9 of the box length in x (one wavelength of the
+    seeded mode in a single-period box).  Regions wrapping (nearly) the
+    whole period are traveling-wave crests, not trapped structures, and
+    are rejected; that closure test is what separates a trapped vortex
+    from the open oscillation bands of the quantum runs at the same
+    amplitude.
 
     The mask keeps depletion only (f below its x-average): a trapped
     vortex is a phase-space hole, while both signs together also pick up
@@ -294,7 +288,7 @@ def detect_vortex(f: np.ndarray, grid: PhaseSpaceGrid, phase_velocity: float,
     x-translation.
     """
     v = grid.v
-    rows = np.flatnonzero(np.abs(v - phase_velocity) <= v_window)
+    rows = np.flatnonzero(np.abs(v - phase_velocity) <= 1.0)
     if rows.size == 0:
         return VortexReport(False, 0.0, 0.0, 0.0)
     window = f[rows, :]
@@ -302,15 +296,14 @@ def detect_vortex(f: np.ndarray, grid: PhaseSpaceGrid, phase_velocity: float,
     scale = float(np.max(np.abs(dev)))
     if scale == 0.0:
         return VortexReport(False, 0.0, 0.0, 0.0)
-    mask = dev < -deviation_fraction * scale
+    mask = dev < -0.2 * scale
 
     # Connected components with periodic wrap in x: label a doubled array
     # so wrapping regions are joined.
     doubled = np.concatenate([mask, mask], axis=1)
     labels, _ = label(doubled)
     n_x = mask.shape[1]
-    L = wavelength if wavelength is not None else grid.spatial.length
-    cells_per_wavelength = L / grid.spatial.dx
+    cells_per_box = grid.spatial.length / grid.spatial.dx
 
     j_min, i_min = np.unravel_index(int(np.argmin(dev)), dev.shape)
     # read the label from the second copy, whose left edge is joined to the
@@ -321,10 +314,9 @@ def detect_vortex(f: np.ndarray, grid: PhaseSpaceGrid, phase_velocity: float,
     where = np.nonzero(labels == lab)
     v_cells = int(where[0].max() - where[0].min() + 1)
     x_cols = np.unique(where[1] % n_x)
-    x_fraction = float(x_cols.size / cells_per_wavelength)
+    x_fraction = float(x_cols.size / cells_per_box)
     v_extent = v_cells * grid.dv
-    present = (v_cells >= min_v_cells
-               and min_x_fraction <= x_fraction <= max_x_fraction)
+    present = v_cells >= 3 and 0.25 <= x_fraction <= 0.9
     if not present:
         return VortexReport(False, 0.0, v_extent, x_fraction)
     return VortexReport(True, 0.5 * v_extent, v_extent, x_fraction)

@@ -30,6 +30,7 @@ MULTISTREAM = "multistream"
 QUANTUM_FLUID = "fluid"
 
 _IM_TINY = 1e-7  # |Im v0| below which the principal-value branch is used
+_ROOT_TOL = 1e-10  # |eps| at which solve_root has converged
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,6 @@ class DielectricModel:
         if self.kind == VLASOV_KINETIC:
             return eps_vlasov(k, omega, self.equilibrium)
         if self.kind == WIGNER_KINETIC:
-            if self.H == 0.0:
-                return eps_vlasov(k, omega, self.equilibrium)
             return eps_wigner(k, omega, self.equilibrium, self.H)
         if self.kind == MULTISTREAM:
             return eps_multistream(k, omega, self.streams, self.H)
@@ -122,16 +121,15 @@ def eps_vlasov(k: float, omega: complex, eq: Equilibrium1D) -> complex:
         raise ValueError("k must be positive")
     if eq.kind == WATERBAG:
         # Distributional derivative evaluates in closed form.
-        return 1.0 - 1.0 / (omega**2 - (k * eq.v_f) ** 2)
+        return 1.0 - 1.0 / (omega**2 - k ** 2)
     edge = eq.support
     return 1.0 + _pole_integral(eq.df0, omega, k, -edge, edge) / k
 
 
-def _waterbag_wigner(k: float, omega: complex, v_f: float, H: float) -> complex:
+def _waterbag_wigner(k: float, omega: complex, H: float) -> complex:
     a = H * k**2 / 4.0
-    kv = k * v_f
-    return 1.0 - (np.log((omega + kv - a) / (omega - kv - a))
-                  - np.log((omega + kv + a) / (omega - kv + a))) / (4.0 * a * k * v_f)
+    return 1.0 - (np.log((omega + k - a) / (omega - k - a))
+                  - np.log((omega + k + a) / (omega - k + a))) / (4.0 * a * k)
 
 
 def eps_wigner(k: float, omega: complex, eq: Equilibrium1D, H: float,
@@ -149,7 +147,7 @@ def eps_wigner(k: float, omega: complex, eq: Equilibrium1D, H: float,
         return eps_vlasov(k, omega, eq)
     a = H * k**2 / 4.0
     if eq.kind == WATERBAG and form == "pole":
-        return _waterbag_wigner(k, omega, eq.v_f, H)
+        return _waterbag_wigner(k, omega, H)
     edge = eq.support
     s = H * k / 4.0
     if form == "shifted":
@@ -209,22 +207,21 @@ def fluid_omega_sq(k: float, gamma: float = 3.0, v0_sq: float = 1.0 / 3.0,
 
 def _ordering_ok(model: DielectricModel, k: float, omega: complex) -> bool:
     """Long-wavelength ordering hbar k / m << v_F << omega / k, with unit
-    margins; outside it the small-k expansions are not asserted."""
-    v_f = model.equilibrium.v_f if model.equilibrium is not None else 1.0
-    return (model.H / 2.0) * k < v_f < abs(omega) / k
+    margins (v_F = 1); outside it the small-k expansions are not asserted."""
+    return (model.H / 2.0) * k < 1.0 < abs(omega) / k
 
 
 def solve_root(model: DielectricModel, k: float,
-               guess: Optional[complex] = None, tol: float = 1e-10,
-               max_iter: int = 100) -> DispersionRoot:
+               guess: Optional[complex] = None) -> DispersionRoot:
     """Newton iteration on epsilon(K, omega) = 0 with a numerically
     differenced complex derivative.
 
     Starts from the Bohm-Gross-like guess omega^2 = 1 + K^2 unless a guess
-    is supplied.  Converges when |epsilon| < tol, or when the Newton step
-    stagnates below tol * |omega| while |epsilon| is already within a few
-    quadrature noise floors of zero (adaptive integration limits the
-    attainable residual for finite-temperature backgrounds).
+    is supplied.  Converges when |epsilon| < 1e-10, or when the Newton
+    step stagnates below 1e-10 |omega| while |epsilon| is already below
+    1e-7, within a few quadrature noise floors of zero (adaptive
+    integration limits the attainable residual for finite-temperature
+    backgrounds).  Raises ArithmeticError after 100 iterations.
     """
     if guess is None:
         omega = complex(math.sqrt(1.0 + k**2))
@@ -234,10 +231,10 @@ def solve_root(model: DielectricModel, k: float,
         raise ValueError("initial guess must have positive real part")
 
     residual = float("inf")
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, 101):
         val = model.eps(k, omega)
         residual = abs(val)
-        if residual < tol:
+        if residual < _ROOT_TOL:
             break
         h = 1e-7 * max(abs(omega), 1e-3)
         dval = (model.eps(k, omega + h) - model.eps(k, omega - h)) / (2.0 * h)
@@ -248,7 +245,7 @@ def solve_root(model: DielectricModel, k: float,
         if abs(step) > 0.5 * abs(omega):
             step *= 0.5 * abs(omega) / abs(step)
         omega = omega - step
-        if abs(step) < tol * abs(omega) and residual < 1e3 * tol:
+        if abs(step) < _ROOT_TOL * abs(omega) and residual < 1e3 * _ROOT_TOL:
             residual = abs(model.eps(k, omega))
             break
     else:
@@ -263,13 +260,12 @@ def solve_root(model: DielectricModel, k: float,
 
 
 def smallk_coefficients(model: DielectricModel, k_min: float = 0.02,
-                        k_max: float = 0.2, n_k: int = 25,
-                        fit_tol: float = 1e-6):
+                        k_max: float = 0.2, n_k: int = 25):
     """Fit omega^2(K) = c0 + c2 K^2 + c4 K^4 over a log-spaced K grid.
 
     A K^6 nuisance term is carried in the basis so that the next order of
     the expansion does not bias c4; only (c0, c2, c4) are returned, plus
-    the rms misfit of omega^2.  Raises if the fit residual exceeds fit_tol
+    the rms misfit of omega^2.  Raises if that misfit exceeds 1e-6
     (expansion not valid on the requested range).
     """
     ks = np.geomspace(k_min, k_max, n_k)
@@ -282,20 +278,21 @@ def smallk_coefficients(model: DielectricModel, k_min: float = 0.02,
     basis = np.vstack([np.ones_like(ks), ks**2, ks**4, ks**6]).T
     coeffs, *_ = np.linalg.lstsq(basis, omega_sq, rcond=None)
     resid = float(np.sqrt(np.mean((basis @ coeffs - omega_sq) ** 2)))
-    if resid > fit_tol:
-        raise ArithmeticError(
-            f"small-K fit residual {resid:.3e} exceeds {fit_tol:.1e}")
+    if resid > 1e-6:
+        raise ArithmeticError(f"small-K fit residual {resid:.3e} exceeds 1.0e-06")
     return float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), resid
 
 
-def k_scan(model: DielectricModel, k_values, guess: Optional[complex] = None):
+def k_scan(model: DielectricModel, k_values):
     """Roots along a K scan, warm-starting each solve from the previous root.
 
-    The warm start is shifted by the Bohm-Gross increment between
-    consecutive K values so it tracks the plasmon branch instead of
-    falling into the continuum when K grows quickly.
+    The first solve starts from solve_root's default guess.  Each warm
+    start is shifted by the Bohm-Gross increment between consecutive K
+    values so it tracks the plasmon branch instead of falling into the
+    continuum when K grows quickly.
     """
     roots = []
+    guess = None
     k_prev = None
     for k in k_values:
         if roots:

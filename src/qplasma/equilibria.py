@@ -49,67 +49,63 @@ def _logistic(z):
 
 @dataclass(frozen=True)
 class Equilibrium1D:
-    """Homogeneous 1D velocity distribution f0(v), normalized to density n0.
+    """Homogeneous 1D velocity distribution f0(v) of unit density.
 
     `kind` is one of waterbag1d / fd3d_projected_T0 / fd3d_projected.
-    Velocities are in units of v_F, the distribution in units of n0 / v_F.
-    For the finite-temperature projected distribution, `t_over_tf` and the
-    solved chemical potential `mu` (in units of E_F) are set.
+    Velocities are in units of v_F, the distribution in units of n0 / v_F,
+    so the Fermi velocity and the density are both 1.  For the
+    finite-temperature projected distribution, `t_over_tf` and the solved
+    chemical potential `mu` (in units of E_F) are set.
     """
 
     kind: str
-    n0: float = 1.0
-    v_f: float = 1.0
     t_over_tf: float = 0.0
     mu: float = float("nan")
 
     def f0(self, v):
         """Evaluate the distribution; accepts real arrays or complex scalars
         (analytic continuation, used by the Landau-contour integrals)."""
-        v = np.asarray(v)
+        # A scalar stays a numpy scalar.  numpy squares a scalar with pow()
+        # and an array with v * v, which can differ in the last bit, and
+        # the dispersion scans are kept bit-stable on the scalar path.
+        v = np.asarray(v)[()]
         if self.kind == WATERBAG:
-            return np.where(np.abs(v) <= self.v_f,
-                            self.n0 / (2.0 * self.v_f), 0.0)
+            return np.where(np.abs(v) <= 1.0, 0.5, 0.0)
         if self.kind == PROJECTED_FD_T0:
-            inside = np.abs(v) <= self.v_f
-            prof = 0.75 * self.n0 / self.v_f * (1.0 - (v / self.v_f) ** 2)
-            return np.where(inside, prof, 0.0)
+            return np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v ** 2), 0.0)
         if self.kind == PROJECTED_FD:
             t = self.t_over_tf
-            z = (self.mu - (v / self.v_f) ** 2) / t
-            return 0.75 * self.n0 / self.v_f * t * _softplus(z)
+            z = (self.mu - v ** 2) / t
+            return 0.75 * t * _softplus(z)
         raise ValueError(f"unknown equilibrium kind {self.kind!r}")
 
     def df0(self, v):
         """df0/dv, analytic inside the support (complex-capable)."""
-        v = np.asarray(v)
+        v = np.asarray(v)[()]  # scalars stay scalars, as in f0
         if self.kind == WATERBAG:
             raise ValueError("water-bag derivative is distributional; "
                              "use the closed-form dielectric instead")
         if self.kind == PROJECTED_FD_T0:
-            inside = np.abs(v) <= self.v_f
-            return np.where(inside, -1.5 * self.n0 * v / self.v_f**3, 0.0)
+            return np.where(np.abs(v) <= 1.0, -1.5 * v, 0.0)
         if self.kind == PROJECTED_FD:
             t = self.t_over_tf
-            z = (self.mu - (v / self.v_f) ** 2) / t
-            return -1.5 * self.n0 * v / self.v_f**3 * _logistic(z)
+            z = (self.mu - v ** 2) / t
+            return -1.5 * v * _logistic(z)
         raise ValueError(f"unknown equilibrium kind {self.kind!r}")
 
     @property
     def support(self) -> float:
         """Velocity beyond which f0 is zero or negligible (< 1e-300 n0/v_F)."""
         if self.kind in (WATERBAG, PROJECTED_FD_T0):
-            return self.v_f
+            return 1.0
         t = self.t_over_tf
-        return self.v_f * math.sqrt(max(self.mu, 0.0) + 700.0 * t)
+        return math.sqrt(max(self.mu, 0.0) + 700.0 * t)
 
 
-def waterbag_1d(n0: float = 1.0, v_f: float = 1.0) -> Equilibrium1D:
+def waterbag_1d() -> Equilibrium1D:
     """Flat-top distribution n0 / (2 v_F) on |v| <= v_F: the 1D
     zero-temperature Fermi-Dirac profile."""
-    if n0 <= 0 or v_f <= 0:
-        raise ValueError("n0 and v_f must be positive")
-    return Equilibrium1D(kind=WATERBAG, n0=n0, v_f=v_f)
+    return Equilibrium1D(kind=WATERBAG)
 
 
 def fermi_velocity_1d(n0: float, mass: float) -> float:
@@ -119,24 +115,21 @@ def fermi_velocity_1d(n0: float, mass: float) -> float:
     return 0.5 * math.pi * HBAR * n0 / mass
 
 
-def projected_fd_zero_t(n0: float = 1.0, v_f: float = 1.0) -> Equilibrium1D:
+def projected_fd_zero_t() -> Equilibrium1D:
     """3D zero-temperature Fermi sphere projected on one velocity axis:
     (3/4)(n0/v_F)(1 - v^2/v_F^2) on |v| <= v_F."""
-    if n0 <= 0 or v_f <= 0:
-        raise ValueError("n0 and v_f must be positive")
-    return Equilibrium1D(kind=PROJECTED_FD_T0, n0=n0, v_f=v_f)
+    return Equilibrium1D(kind=PROJECTED_FD_T0)
 
 
 def _projected_fd_density(mu: float, t: float) -> float:
-    """Velocity integral of the finite-T projected profile at unit n0, v_F."""
+    """Velocity integral of the finite-T projected profile."""
     vcut = math.sqrt(max(mu, 0.0) + 60.0 * t)
     val, _ = quad(lambda v: 0.75 * t * float(np.real(_softplus((mu - v * v) / t))),
                   -vcut, vcut, limit=200, epsabs=1e-13, epsrel=1e-12)
     return val
 
 
-def projected_fd_finite_t(n0: float = 1.0, t_over_tf: float = 0.05,
-                          v_f: float = 1.0) -> Equilibrium1D:
+def projected_fd_finite_t(t_over_tf: float = 0.05) -> Equilibrium1D:
     """Finite-temperature projected Fermi-Dirac profile,
     (3/4)(n0/v_F)(T/T_F) ln[1 + exp((mu - v^2) / (T/T_F))] with energies
     in units of E_F.  The chemical potential is solved from the density
@@ -144,8 +137,6 @@ def projected_fd_finite_t(n0: float = 1.0, t_over_tf: float = 0.05,
     """
     if not (0.0 < t_over_tf <= 1.0):
         raise ValueError("t_over_tf must lie in (0, 1]")
-    if n0 <= 0 or v_f <= 0:
-        raise ValueError("n0 and v_f must be positive")
     t = t_over_tf
     lo, hi = -10.0 * t, 2.0
     flo = _projected_fd_density(lo, t) - 1.0
@@ -156,8 +147,7 @@ def projected_fd_finite_t(n0: float = 1.0, t_over_tf: float = 0.05,
             f"density constraint (residuals {flo:.3e}, {fhi:.3e})")
     mu = brentq(lambda m: _projected_fd_density(m, t) - 1.0, lo, hi,
                 xtol=1e-14, rtol=1e-12)
-    return Equilibrium1D(kind=PROJECTED_FD, n0=n0, v_f=v_f,
-                         t_over_tf=t_over_tf, mu=mu)
+    return Equilibrium1D(kind=PROJECTED_FD, t_over_tf=t_over_tf, mu=mu)
 
 
 def make_equilibrium(name: str, t_over_tf: float = 0.0) -> Equilibrium1D:
@@ -238,9 +228,9 @@ class StreamSet:
         return np.einsum("a,ax->x", self.probabilities, np.abs(self.psi) ** 2)
 
 
-def plane_wave_mixture(spec: StreamSpec, grid: SpatialGrid, H: float,
-                       n0: float = 1.0) -> StreamSet:
-    """Uniform-density plane-wave streams psi_a = sqrt(n0) exp(i u_a x / hbar_eff).
+def plane_wave_mixture(spec: StreamSpec, grid: SpatialGrid,
+                       H: float) -> StreamSet:
+    """Uniform unit-density plane-wave streams psi_a = exp(i u_a x / hbar_eff).
 
     Each velocity must be commensurate with the box: u_a L / (2 pi hbar_eff)
     an integer, otherwise the wavefunction is not periodic.
@@ -256,7 +246,7 @@ def plane_wave_mixture(spec: StreamSpec, grid: SpatialGrid, H: float,
             f"non-commensurate stream velocities {u[bad]} for L={grid.length}, "
             f"hbar_eff={hb} (u L / 2 pi hbar_eff must be integer)")
     x = grid.x
-    psi = np.sqrt(n0) * np.exp(1j * np.outer(u, x) / hb)
+    psi = np.exp(1j * np.outer(u, x) / hb)
     return StreamSet(grid=grid, psi=psi,
                      probabilities=np.asarray(spec.probabilities, dtype=float),
                      H=H)

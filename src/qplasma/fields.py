@@ -78,18 +78,17 @@ def spectral_derivative(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     )
 
 
-def poisson_periodic(density: np.ndarray, grid: SpatialGrid,
-                     n0: float = 1.0, tol: float = 1e-10) -> np.ndarray:
-    """Solve phi'' = density - n0 on the periodic box; returns zero-mean phi.
+def poisson_periodic(density: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Solve phi'' = density - 1 on the periodic box; returns zero-mean phi.
 
-    The box must be quasineutral: mean(density) == n0 to `tol`.
+    The box must be quasineutral: mean(density) == n0 = 1 to 1e-10.
     """
-    excess = float(np.mean(density)) - n0
-    if abs(excess) > tol:
+    excess = float(np.mean(density)) - 1.0
+    if abs(excess) > 1e-10:
         raise ValueError(
             f"non-neutral box: mean density deviates from n0 by {excess:.3e}"
         )
-    rho_hat = np.fft.rfft(density - n0)
+    rho_hat = np.fft.rfft(density - 1.0)
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.n_x, d=grid.dx)
     phi_hat = np.zeros_like(rho_hat)
     phi_hat[1:] = -rho_hat[1:] / k[1:] ** 2

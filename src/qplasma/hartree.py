@@ -18,7 +18,7 @@ decomposition on one stream of weight 1 with the enthalpy as W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,17 +26,18 @@ from .equilibria import Perturbation, StreamSet, hbar_eff
 from .fields import SpatialGrid, poisson_periodic, spectral_derivative
 
 
-@dataclass
-class MadelungFields:
-    """Per-stream density and flow velocity with a vacuum mask.
+class MadelungFields(NamedTuple):
+    """Per-stream density and flow velocity with a vacuum mask, each
+    shaped like psi.
 
-    u is meaningless where |psi|^2 is negligible; those cells are flagged
-    in `mask` (True = unreliable) and u is set to 0 there.
+    u is meaningless where |psi|^2 is negligible, below 1e-8 of the
+    stream's maximum; those cells are flagged in `mask` (True = unreliable)
+    and u is set to 0 there.
     """
 
-    n: np.ndarray      # (N, n_x)
-    u: np.ndarray      # (N, n_x)
-    mask: np.ndarray   # (N, n_x) bool
+    n: np.ndarray
+    u: np.ndarray
+    mask: np.ndarray
 
 
 def perturb_streams(streams: StreamSet, pert: Perturbation) -> StreamSet:
@@ -106,20 +107,18 @@ def stream_norms(streams: StreamSet) -> np.ndarray:
     return np.mean(np.abs(streams.psi) ** 2, axis=1)
 
 
-def _madelung(psi: np.ndarray, H: float, dx: float, vacuum_fraction: float):
-    """(n, u, mask) along the last axis of psi; see madelung_decompose."""
+def _madelung(psi: np.ndarray, H: float, dx: float) -> MadelungFields:
+    """MadelungFields along the last axis of psi; see madelung_decompose."""
     n = np.abs(psi) ** 2
     fwd = np.roll(psi, -1, axis=-1)
     bwd = np.roll(psi, 1, axis=-1)
     u = hbar_eff(H) * np.angle(fwd * np.conj(bwd)) / (2.0 * dx)
-    mask = n < vacuum_fraction * n.max(axis=-1, keepdims=True)
-    return n, np.where(mask, 0.0, u), mask
+    mask = n < 1e-8 * n.max(axis=-1, keepdims=True)
+    return MadelungFields(n, np.where(mask, 0.0, u), mask)
 
 
-def madelung_decompose(streams: StreamSet,
-                       vacuum_fraction: float = 1e-8) -> MadelungFields:
+def madelung_decompose(streams: StreamSet) -> MadelungFields:
     """Density n_a = |psi_a|^2 and velocity u_a from the local phase
     increment hbar_eff * arg(psi(x+dx) conj(psi(x-dx))) / (2 dx), which
     needs no global phase unwrapping."""
-    return MadelungFields(*_madelung(streams.psi, streams.H, streams.grid.dx,
-                                     vacuum_fraction))
+    return _madelung(streams.psi, streams.H, streams.grid.dx)

@@ -25,18 +25,14 @@ THREE_PI_SQ_23 = (3.0 * math.pi**2) ** (2.0 / 3.0)
 
 @dataclass(frozen=True)
 class PhysicalConditions:
-    """Bulk plasma conditions: density (1/m^3), temperature (K), particle
-    mass (kg), charge magnitude (C) and vacuum permittivity."""
+    """Bulk conditions of the electron gas: density (1/m^3) and
+    temperature (K)."""
 
     number_density: float
     temperature: float
-    particle_mass: float = ELECTRON_MASS
-    particle_charge: float = ELEMENTARY_CHARGE
-    vacuum_permittivity: float = VACUUM_PERMITTIVITY
 
     def __post_init__(self):
-        for name in ("number_density", "temperature", "particle_mass",
-                     "particle_charge", "vacuum_permittivity"):
+        for name in ("number_density", "temperature"):
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
@@ -79,9 +75,9 @@ def compute_scales(cond: PhysicalConditions) -> PlasmaScales:
     lambda_F = v_F / omega_p.
     """
     n = cond.number_density
-    m = cond.particle_mass
-    e = cond.particle_charge
-    eps0 = cond.vacuum_permittivity
+    m = ELECTRON_MASS
+    e = ELEMENTARY_CHARGE
+    eps0 = VACUUM_PERMITTIVITY
 
     omega_p = math.sqrt(e**2 * n / (m * eps0))
     v_t = math.sqrt(BOLTZMANN * cond.temperature / m)
@@ -108,9 +104,9 @@ def compute_dimensionless(cond: PhysicalConditions) -> DimensionlessGroup:
     nu_ee / omega_p = g_Q^(-1/2) (T / T_F)^2 (degenerate-gas estimate).
     """
     n = cond.number_density
-    m = cond.particle_mass
-    e = cond.particle_charge
-    eps0 = cond.vacuum_permittivity
+    m = ELECTRON_MASS
+    e = ELEMENTARY_CHARGE
+    eps0 = VACUUM_PERMITTIVITY
     scales = compute_scales(cond)
 
     chi = scales.fermi_temperature / cond.temperature

@@ -26,7 +26,7 @@ import numpy as np
 
 from .equilibria import Perturbation, hbar_eff
 from .fields import SpatialGrid
-from .hartree import _madelung, _split_step, _wave_diagnostics
+from .hartree import MadelungFields, _madelung, _split_step, _wave_diagnostics
 
 # Occupation weight of the fluid's single stream.
 _ONE_STREAM = np.ones(1)
@@ -43,10 +43,6 @@ class FluidState:
     gamma: float = 3.0
     p0: float = 1.0 / 3.0
     time: float = 0.0
-
-    def copy(self) -> "FluidState":
-        return FluidState(self.psi.copy(), self.grid, self.H, self.gamma,
-                          self.p0, self.time)
 
     def density(self) -> np.ndarray:
         return np.abs(self.psi) ** 2
@@ -118,7 +114,7 @@ def diagnostics(state: FluidState):
     return field_energy, kinetic + internal, mass, momentum
 
 
-def madelung_fields(state: FluidState, vacuum_fraction: float = 1e-8):
+def madelung_fields(state: FluidState) -> MadelungFields:
     """Density and flow velocity (n, u) with a vacuum mask, as
     hartree.madelung_decompose gives them for one stream."""
-    return _madelung(state.psi, state.H, state.grid.dx, vacuum_fraction)
+    return _madelung(state.psi, state.H, state.grid.dx)

@@ -55,18 +55,17 @@ class VlasovState:
     grid: PhaseSpaceGrid
     time: float = 0.0
 
-    def copy(self) -> "VlasovState":
-        return VlasovState(self.f.copy(), self.grid, self.time)
-
 
 def initial_state(grid: PhaseSpaceGrid, eq: Equilibrium1D,
                   perturbation: Perturbation | None = None) -> VlasovState:
     """Sample the equilibrium on the velocity grid, optionally with a
     cosine density perturbation (commensurate with the box)."""
     profile = eq.f0(grid.v).real.astype(float)
-    # Rectangle-rule density must equal n0 exactly, otherwise the periodic
-    # Poisson problem has no solution; absorb the quadrature defect.
-    profile *= eq.n0 / (np.sum(profile) * grid.dv)
+    # Rectangle-rule density must equal 1 exactly, otherwise the periodic
+    # Poisson problem has no solution; absorb the quadrature defect.  A
+    # multiply by the reciprocal, not a division: the two differ in the
+    # last bit, and initial states keep their bits.
+    profile *= 1.0 / (np.sum(profile) * grid.dv)
     f = np.broadcast_to(profile[:, None], (grid.n_v, grid.spatial.n_x)).copy()
     if perturbation is not None:
         f = apply_cosine_perturbation(f, perturbation, grid)

@@ -45,9 +45,6 @@ class WignerState:
     H: float
     time: float = 0.0
 
-    def copy(self) -> "WignerState":
-        return WignerState(self.f.copy(), self.grid, self.H, self.time)
-
 
 def lambda_nodes(grid: PhaseSpaceGrid, H: float) -> np.ndarray:
     """Dual-variable nodes in FFT ordering.

@@ -5,6 +5,7 @@ run outputs and the comparison guard."""
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,13 @@ class TestConfigParsing:
             parse_config("model = vlasov\nbogus = 3\n")
         assert any("line 2" in p and "bogus" in p for p in err.value.problems)
 
+    def test_out_dir_is_an_unknown_key(self):
+        # Outputs go to the command's --out directory; the config has no
+        # say in it.
+        with pytest.raises(ConfigError) as err:
+            parse_config("model = vlasov\nout_dir = results\n")
+        assert err.value.problems == ["line 2: unknown key 'out_dir'"]
+
     def test_all_problems_collected_not_just_the_first(self):
         text = "model = vlasov\nbogus = 3\nn_x = oops\nwhat\n"
         with pytest.raises(ConfigError) as err:
@@ -63,6 +71,19 @@ class TestConfigParsing:
                            "snapshot_times = 1.0,2.5\nsave_final = true\n")
         again = parse_config(cfg.to_text())
         assert again == cfg
+        # Every field away from its default, so each key's parser is used.
+        cfg = parse_config(
+            "model = hartree\nequilibrium = waterbag1d\nt_over_tf = 0.05\n"
+            "alpha = 0.02\nk = 0.5\nh = 0.7\nperiods = 2\nn_x = 64\n"
+            "n_v = 128\nv_max = 4.0\ndt = 0.1\nt_end = 2.0\n"
+            "output_every = 2\nsnapshot_times = 1.0,1.5\nsave_final = true\n"
+            "gamma = 2.0\np0 = 0.5\nn_streams = 6\n")
+        defaults = ScenarioConfig(model="vlasov")
+        for f in fields(ScenarioConfig):
+            value = getattr(cfg, f.name)
+            assert value != getattr(defaults, f.name), f.name
+            assert type(value) is type(getattr(defaults, f.name)), f.name
+        assert parse_config(cfg.to_text()) == cfg
 
     def test_times_off_the_step_grid_are_rejected(self):
         # Each of these ran to another time than its label said.
@@ -170,6 +191,22 @@ class TestDispersionCommand:
         assert rc == 2
         assert "stream table" in capsys.readouterr().err
 
+    def test_unknown_equilibrium_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["dispersion", "--model", "vlasov",
+                      "--equilibrium", "bogus"])
+        assert err.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_finite_temperature_equilibrium_needs_a_temperature(self, capsys):
+        # The default --t-over-tf is 0, outside the profile's range.
+        rc = cli.main(["dispersion", "--model", "vlasov",
+                       "--equilibrium", "fd3d_projected"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: t_over_tf must lie in (0, 1]\n"
+        assert captured.out == ""
+
 
 BASE_CONFIG = """\
 model = vlasov
@@ -268,6 +305,17 @@ class TestCompareCommand:
         assert f"config_hash_b={hb}" in text
         n_rows = len(text.splitlines()) - 2
         assert n_rows == int(round(2.0 / 0.02)) + 1
+
+    def test_invalid_config_fails_with_messages(self, tmp_path, capsys):
+        a, b = self.write_pair(tmp_path)
+        b.write_text(b.read_text() + "n_v = 7\n")
+        out = tmp_path / "cmp"
+        rc = cli.main(["compare", str(a), str(b), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: line 12: n_v must be even and at "
+                       "least 8, got 7"]
+        assert not out.exists()
 
     def test_mismatched_grids_are_refused(self, tmp_path, capsys):
         a, b = self.write_pair(tmp_path)

@@ -200,7 +200,7 @@ class TestRootSolver:
         h_param, k = 2.5, 1.0
         shift = h_param * k**2 / 4.0
         guess = brentq(lambda w: eps_wigner(k, complex(w), eq, h_param).real,
-                       k * eq.v_f + shift + 1e-6, 4.0)
+                       k + shift + 1e-6, 4.0)
         model = DielectricModel(WIGNER_KINETIC, equilibrium=eq, H=h_param)
         root = solve_root(model, k, guess=complex(guess))
         assert root.residual < 1e-10

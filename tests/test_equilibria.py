@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qplasma.config import EQUILIBRIA
 from qplasma.constants import ELECTRON_MASS, HBAR
 from qplasma.equilibria import (Perturbation, StreamSpec,
                                 apply_cosine_perturbation,
@@ -46,10 +47,13 @@ class TestFlatTop:
                                                              rel=1e-10)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            waterbag_1d(n0=-1.0)
-        with pytest.raises(ValueError):
-            waterbag_1d(v_f=0.0)
+        # Units are fixed: density and Fermi velocity are 1.  A profile of
+        # another density would only fail later, in the neutrality check
+        # of the Poisson solve.
+        with pytest.raises(TypeError):
+            waterbag_1d(n0=2.0)
+        with pytest.raises(TypeError):
+            waterbag_1d(v_f=0.5)
 
 
 class TestProjectedZeroT:
@@ -117,6 +121,11 @@ class TestProjectedFiniteT:
         assert eq.t_over_tf == 0.01
         with pytest.raises(ValueError):
             make_equilibrium("maxwellian")
+
+    def test_every_config_equilibrium_builds(self):
+        # Configs and the dispersion command offer exactly these names.
+        for name in EQUILIBRIA:
+            assert make_equilibrium(name, 0.01).kind == name
 
 
 class TestOneDFermiVelocity:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qplasma.constants import BOLTZMANN, EV, HBAR
+from qplasma.constants import (BOLTZMANN, ELECTRON_MASS, ELEMENTARY_CHARGE,
+                               EV, HBAR, VACUUM_PERMITTIVITY)
 from qplasma.params import (PhysicalConditions, RegimeLabel, classify_regime,
                             compute_dimensionless, compute_scales,
                             pauli_collision_time)
@@ -114,9 +115,9 @@ class TestExactIdentities:
         # numerical prefactors folded into the definitions).
         group = compute_dimensionless(cond)
         scales = compute_scales(cond)
-        g_c_at_fermi = (cond.particle_charge**2
+        g_c_at_fermi = (ELEMENTARY_CHARGE**2
                         * cond.number_density ** (1.0 / 3.0)
-                        / (cond.vacuum_permittivity * scales.fermi_energy))
+                        / (VACUUM_PERMITTIVITY * scales.fermi_energy))
         ratio = group.g_quantum / g_c_at_fermi
         assert 0.1 < ratio < 10.0  # same quantity up to an O(1) prefactor
 
@@ -135,7 +136,7 @@ class TestScales:
 
     def test_fermi_energy_velocity_consistency(self):
         scales = compute_scales(GOLD)
-        m = GOLD.particle_mass
+        m = ELECTRON_MASS
         assert rel_err(scales.fermi_energy,
                        0.5 * m * scales.fermi_velocity**2) < 1e-12
 
@@ -147,7 +148,7 @@ class TestScales:
     def test_de_broglie_from_thermal_velocity(self):
         scales = compute_scales(GOLD)
         assert rel_err(scales.de_broglie,
-                       HBAR / (GOLD.particle_mass * scales.thermal_velocity)) < 1e-12
+                       HBAR / (ELECTRON_MASS * scales.thermal_velocity)) < 1e-12
 
 
 class TestRegimes:
