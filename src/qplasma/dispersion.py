@@ -127,6 +127,8 @@ def eps_vlasov(k: float, omega: complex, eq: Equilibrium1D) -> complex:
 
 
 def _waterbag_wigner(k: float, omega: complex, H: float) -> complex:
+    # A real omega is taken as omega + 0j, so that the logs are complex.
+    omega = omega + 0j
     a = H * k**2 / 4.0
     return 1.0 - (np.log((omega + k - a) / (omega - k - a))
                   - np.log((omega + k + a) / (omega - k + a))) / (4.0 * a * k)

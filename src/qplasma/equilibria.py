@@ -14,10 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .constants import BOLTZMANN, HBAR
 from .fields import PhaseSpaceGrid, SpatialGrid
 
 WATERBAG = "waterbag1d"
@@ -108,46 +105,100 @@ def waterbag_1d() -> Equilibrium1D:
     return Equilibrium1D(kind=WATERBAG)
 
 
-def fermi_velocity_1d(n0: float, mass: float) -> float:
-    """1D Fermi velocity v_F = pi hbar n0 / (2 m) (SI)."""
-    if n0 <= 0:
-        raise ValueError("n0 must be positive")
-    return 0.5 * math.pi * HBAR * n0 / mass
-
-
 def projected_fd_zero_t() -> Equilibrium1D:
     """3D zero-temperature Fermi sphere projected on one velocity axis:
     (3/4)(n0/v_F)(1 - v^2/v_F^2) on |v| <= v_F."""
     return Equilibrium1D(kind=PROJECTED_FD_T0)
 
 
-def _projected_fd_density(mu: float, t: float) -> float:
-    """Velocity integral of the finite-T projected profile."""
-    vcut = math.sqrt(max(mu, 0.0) + 60.0 * t)
-    val, _ = quad(lambda v: 0.75 * t * float(np.real(_softplus((mu - v * v) / t))),
-                  -vcut, vcut, limit=200, epsabs=1e-13, epsrel=1e-12)
-    return val
+# Panel rule of the chemical-potential solve: the 20-point Gauss-Legendre
+# rule on [-1, 1], as (node, weight) for the nodes > 0; the rule is even.
+# These are numpy.polynomial.legendre.leggauss(20) written out, because
+# computing them is a LAPACK call, whose first use in a process costs about
+# 0.7 MB of resident memory.
+_GL_HALF = np.array([
+    (0.07652652113349734, 0.15275338713072628),
+    (0.22778585114164507, 0.14917298647260424),
+    (0.37370608871541955, 0.1420961093183824),
+    (0.5108670019508271, 0.1316886384491769),
+    (0.636053680726515, 0.1181945319615186),
+    (0.7463319064601508, 0.1019301198172407),
+    (0.8391169718222188, 0.08327674157670471),
+    (0.912234428251326, 0.06267204833410879),
+    (0.9639719272779138, 0.040601429800386446),
+    (0.993128599185095, 0.017614007139150893),
+])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
+_MU_MAX_STEPS = 50  # Newton steps before the chemical-potential solve gives up
+_MU_STEP_TOL = 1e-13  # Newton step (in E_F) at which mu has converged
+
+
+def _edge_graded_nodes(edge: float, width: float, vcut: float):
+    """Composite Gauss-Legendre nodes and weights on [0, vcut].  The panels
+    next to `edge` are `width` wide and double in width away from it, so a
+    sharp edge costs O(log 1/width) panels."""
+    steps = width * (2.0 ** np.arange(64.0) - 1.0)  # 0, w, 3w, 7w, ...
+    left = edge - steps[steps < edge]
+    right = edge + steps[1:]
+    breaks = np.concatenate(([0.0], left[::-1], right[right < vcut], [vcut]))
+    half = 0.5 * np.diff(breaks)
+    mid = breaks[:-1] + half
+    return ((mid[:, None] + half[:, None] * _GL_NODES).ravel(),
+            (half[:, None] * _GL_WEIGHTS).ravel())
 
 
 def projected_fd_finite_t(t_over_tf: float = 0.05) -> Equilibrium1D:
     """Finite-temperature projected Fermi-Dirac profile,
     (3/4)(n0/v_F)(T/T_F) ln[1 + exp((mu - v^2) / (T/T_F))] with energies
-    in units of E_F.  The chemical potential is solved from the density
-    constraint to 1e-10 relative.
+    in units of E_F.
+
+    The chemical potential solves the density constraint n(mu) = 1 to
+    round-off, by Newton steps kept inside the bracket [-10 T, 2 E_F]
+    (bisection when a step leaves it).  n and dn/dmu are sums over fixed
+    nodes on [0, vcut], the profile being even in v.  The nodes are built
+    once, graded toward the Fermi edge v = sqrt(mu) of the Sommerfeld
+    guess mu = 1 - (pi^2/12) t^2, where the profile changes over
+    min(t / (2 sqrt(mu)), sqrt(t)); the solve moves that edge by O(t^2),
+    far less than that width.
     """
     if not (0.0 < t_over_tf <= 1.0):
         raise ValueError("t_over_tf must lie in (0, 1]")
     t = t_over_tf
+    mu = 1.0 - (math.pi ** 2 / 12.0) * t * t
+    edge = math.sqrt(max(mu, 0.0))
+    v, w = _edge_graded_nodes(edge, t / max(2.0 * edge, math.sqrt(t)),
+                              math.sqrt(max(mu, 0.0) + 60.0 * t))
+
+    def residual(m: float):
+        """n(m) - 1 and dn/dm."""
+        z = (m - v * v) / t
+        return (1.5 * t * np.dot(w, _softplus(z)) - 1.0,
+                1.5 * np.dot(w, _logistic(z)))
+
     lo, hi = -10.0 * t, 2.0
-    flo = _projected_fd_density(lo, t) - 1.0
-    fhi = _projected_fd_density(hi, t) - 1.0
+    flo, fhi = residual(lo)[0], residual(hi)[0]
     if flo * fhi > 0.0:
         raise ArithmeticError(
             f"chemical-potential bracket [{lo}, {hi}] does not enclose the "
             f"density constraint (residuals {flo:.3e}, {fhi:.3e})")
-    mu = brentq(lambda m: _projected_fd_density(m, t) - 1.0, lo, hi,
-                xtol=1e-14, rtol=1e-12)
-    return Equilibrium1D(kind=PROJECTED_FD, t_over_tf=t_over_tf, mu=mu)
+    mu = min(max(mu, lo), hi)
+    for _ in range(_MU_MAX_STEPS):
+        f, slope = residual(mu)
+        if f < 0.0:
+            lo = mu
+        else:
+            hi = mu
+        new = mu - f / slope
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        step, mu = new - mu, float(new)
+        if abs(step) <= _MU_STEP_TOL:
+            return Equilibrium1D(kind=PROJECTED_FD, t_over_tf=t_over_tf, mu=mu)
+    raise ArithmeticError(
+        f"chemical-potential Newton solve did not converge in {_MU_MAX_STEPS} "
+        f"steps at t_over_tf={t_over_tf} (last step {step:.3e}, "
+        f"bracket [{lo!r}, {hi!r}])")
 
 
 def make_equilibrium(name: str, t_over_tf: float = 0.0) -> Equilibrium1D:
@@ -250,14 +301,6 @@ def plane_wave_mixture(spec: StreamSpec, grid: SpatialGrid,
     return StreamSet(grid=grid, psi=psi,
                      probabilities=np.asarray(spec.probabilities, dtype=float),
                      H=H)
-
-
-def commensurate_velocity_lattice(grid: SpatialGrid, H: float,
-                                  v_cut: float) -> np.ndarray:
-    """All box-commensurate stream velocities with |u| <= v_cut."""
-    du = 2.0 * np.pi * hbar_eff(H) / grid.length
-    j_max = int(math.floor(v_cut / du))
-    return du * np.arange(-j_max, j_max + 1)
 
 
 def wigner_of_mixture(streams: StreamSet, grid: PhaseSpaceGrid) -> np.ndarray:

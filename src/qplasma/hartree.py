@@ -102,11 +102,6 @@ def diagnostics(streams: StreamSet):
                              streams.H)
 
 
-def stream_norms(streams: StreamSet) -> np.ndarray:
-    """Box-averaged |psi_a|^2 per stream (conserved, 1 for unit streams)."""
-    return np.mean(np.abs(streams.psi) ** 2, axis=1)
-
-
 def _madelung(psi: np.ndarray, H: float, dx: float) -> MadelungFields:
     """MadelungFields along the last axis of psi; see madelung_decompose."""
     n = np.abs(psi) ** 2

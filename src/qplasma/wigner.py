@@ -159,25 +159,3 @@ def step(state: WignerState, dt: float,
 
 # The diagnostics read only f and its grid, as for the classical model.
 diagnostics = _vlasov.diagnostics
-
-
-def semiclassical_limit_check(grid: PhaseSpaceGrid, eq: Equilibrium1D,
-                              perturbation: Perturbation | None,
-                              H_list, t_end: float = 5.0, dt: float = 0.02):
-    """Sup-norm deviation of quantum runs from the classical run.
-
-    All runs share the grid, initial data and horizon.  Returns a list of
-    (H, deviation) pairs; the leading quantum correction is O(hbar^2), so
-    deviations should fall with slope 2 in log-log as H decreases.
-    """
-    n_steps = int(round(t_end / dt))
-    ref = _vlasov.initial_state(grid, eq, perturbation)
-    for _ in range(n_steps):
-        ref = _vlasov.step(ref, dt)
-    table = []
-    for H in H_list:
-        st = initial_state(grid, eq, H, perturbation)
-        for _ in range(n_steps):
-            st = step(st, dt)
-        table.append((float(H), float(np.max(np.abs(st.f - ref.f)))))
-    return table

@@ -326,15 +326,28 @@ class TestCompareCommand:
 
 
 class TestImportFootprint:
-    def test_cli_import_does_not_load_scipy_stats(self):
-        # scipy.stats adds about 18 MB of resident memory to every process
-        # that imports it; nothing in qplasma needs it.
+    @staticmethod
+    def loaded_after_import(module, names):
+        """Which of `names` a fresh interpreter holds after `import module`."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         out = subprocess.run(
             [sys.executable, "-c",
-             "import qplasma.cli, sys; print('scipy.stats' in sys.modules)"],
+             f"import {module}, sys; "
+             f"print([n for n in {names!r} if n in sys.modules])"],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        # scipy.stats adds about 18 MB of resident memory to every process
+        # that imports it; nothing in qplasma needs it.
+        assert self.loaded_after_import("qplasma.cli", ["scipy.stats"]) == "[]"
+
+    def test_simulate_import_loads_no_quadrature_or_root_finder(self):
+        # The library path of `qplasma run` solves the chemical potential
+        # with numpy alone.  (The CLI still loads scipy.integrate for the
+        # dispersion integrals.)
+        assert self.loaded_after_import(
+            "qplasma.simulate", ["scipy.integrate", "scipy.optimize"]) == "[]"

@@ -1,6 +1,8 @@
 """Dielectric functions, Landau-contour root finding and the small-K
 expansion coefficients of the longitudinal wave families."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,15 @@ class TestQuantumKinetic:
             closed = eps_wigner(k, w, eq, 1.0, form="pole")
             quad = eps_wigner(k, w, eq, 1.0, form="shifted")
             assert abs(closed - quad) < 1e-10
+
+    def test_flat_top_closed_form_on_a_real_frequency(self):
+        # Inside the recoil-shifted resonance band the log arguments are
+        # negative reals: a float omega must take the complex log.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = eps_wigner(1.8, 1.9, waterbag_1d(), 0.7)
+        assert val == eps_wigner(1.8, 1.9 + 0j, waterbag_1d(), 0.7)
+        assert val == pytest.approx(0.98835 + 0.76955j, abs=1e-5)
 
     def test_pole_and_shifted_forms_agree(self):
         eq = projected_fd_zero_t()

@@ -1,16 +1,19 @@
 """Velocity-space equilibria, discrete stream mixtures and the phase-space
 transform of wavefunction mixtures."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from qplasma import equilibria
 from qplasma.config import EQUILIBRIA
 from qplasma.constants import ELECTRON_MASS, HBAR
-from qplasma.equilibria import (Perturbation, StreamSpec,
+from qplasma.equilibria import (Perturbation, StreamSpec, _softplus,
                                 apply_cosine_perturbation,
-                                commensurate_velocity_lattice,
-                                fd_stream_occupations, fermi_velocity_1d,
+                                fd_stream_occupations,
                                 hbar_eff, make_equilibrium,
                                 plane_wave_mixture, projected_fd_finite_t,
                                 projected_fd_zero_t, waterbag_1d,
@@ -30,6 +33,49 @@ def second_moment(eq, lim=None):
     val, _ = quad(lambda v: v * v * float(eq.f0(v).real), -lim, lim,
                   limit=200, epsabs=1e-13, epsrel=1e-12)
     return val
+
+
+def fermi_velocity_1d(n0: float, mass: float) -> float:
+    """1D Fermi velocity v_F = pi hbar n0 / (2 m) (SI)."""
+    if n0 <= 0:
+        raise ValueError("n0 must be positive")
+    return 0.5 * math.pi * HBAR * n0 / mass
+
+
+def commensurate_velocity_lattice(grid: SpatialGrid, H: float,
+                                  v_cut: float) -> np.ndarray:
+    """All box-commensurate stream velocities with |u| <= v_cut."""
+    du = 2.0 * np.pi * hbar_eff(H) / grid.length
+    j_max = int(math.floor(v_cut / du))
+    return du * np.arange(-j_max, j_max + 1)
+
+
+# The chemical-potential solve that the fixed-node Newton replaced, kept as
+# the reference: brentq over adaptive-quad densities.  Its unsplit quad
+# misses the sharp Fermi edge at T/T_F = 1e-4, so it is a reference only
+# from T/T_F = 1e-3 up.
+def reference_mu(t):
+    def density(mu):
+        vcut = math.sqrt(max(mu, 0.0) + 60.0 * t)
+        val, _ = quad(
+            lambda v: 0.75 * t * float(np.real(_softplus((mu - v * v) / t))),
+            -vcut, vcut, limit=200, epsabs=1e-13, epsrel=1e-12)
+        return val
+    return brentq(lambda m: density(m) - 1.0, -10.0 * t, 2.0,
+                  xtol=1e-14, rtol=1e-12)
+
+
+# mu at T/T_F = t from the closed form of the density constraint,
+# -(3/4) t sqrt(pi t) Li_{3/2}(-exp(mu / t)) = 1, solved with mpmath at
+# 40 digits.
+CLOSED_FORM_MU = {
+    1e-4: 0.999999991775329544,
+    1e-3: 0.99999917753174895309,
+    0.01: 0.99991774111133985301,
+    0.05: 0.99793607026603865178,
+    0.3: 0.9145823015228146798,
+    1.0: -0.021460754986923125775,
+}
 
 
 class TestFlatTop:
@@ -126,6 +172,27 @@ class TestProjectedFiniteT:
         # Configs and the dispersion command offer exactly these names.
         for name in EQUILIBRIA:
             assert make_equilibrium(name, 0.01).kind == name
+
+
+class TestChemicalPotential:
+    def test_matches_the_closed_form(self):
+        for t, mu in CLOSED_FORM_MU.items():
+            assert abs(projected_fd_finite_t(t).mu - mu) <= 1e-14, t
+
+    def test_matches_the_old_solver(self):
+        dmu = [abs(projected_fd_finite_t(t).mu - reference_mu(t))
+               for t in CLOSED_FORM_MU if t >= 1e-3]
+        assert max(dmu) <= 1e-13
+
+    def test_panel_rule_is_the_20_point_gauss_legendre_rule(self):
+        x, w = np.polynomial.legendre.leggauss(20)
+        assert np.max(np.abs(equilibria._GL_NODES - x)) <= 1e-15
+        assert np.max(np.abs(equilibria._GL_WEIGHTS - w)) <= 1e-15
+
+    def test_unconverged_newton_is_an_arithmetic_error(self, monkeypatch):
+        monkeypatch.setattr(equilibria, "_MU_MAX_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            projected_fd_finite_t(1.0)
 
 
 class TestOneDFermiVelocity:

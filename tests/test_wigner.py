@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qplasma import vlasov, wigner
-from qplasma.equilibria import (Perturbation, hbar_eff, projected_fd_finite_t,
-                                projected_fd_zero_t)
+from qplasma.equilibria import (Equilibrium1D, Perturbation, hbar_eff,
+                                projected_fd_finite_t, projected_fd_zero_t)
 from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, moments,
                             poisson_periodic)
 
@@ -244,11 +244,33 @@ class TestHarmonicOracle:
         assert x_mean == pytest.approx(x0, abs=1e-3)
 
 
+def semiclassical_limit_check(grid: PhaseSpaceGrid, eq: Equilibrium1D,
+                              perturbation: Perturbation | None,
+                              H_list, t_end: float = 5.0, dt: float = 0.02):
+    """Sup-norm deviation of quantum runs from the classical run.
+
+    All runs share the grid, initial data and horizon.  Returns a list of
+    (H, deviation) pairs; the leading quantum correction is O(hbar^2), so
+    deviations should fall with slope 2 in log-log as H decreases.
+    """
+    n_steps = int(round(t_end / dt))
+    ref = vlasov.initial_state(grid, eq, perturbation)
+    for _ in range(n_steps):
+        ref = vlasov.step(ref, dt)
+    table = []
+    for H in H_list:
+        st = wigner.initial_state(grid, eq, H, perturbation)
+        for _ in range(n_steps):
+            st = wigner.step(st, dt)
+        table.append((float(H), float(np.max(np.abs(st.f - ref.f)))))
+    return table
+
+
 @pytest.fixture(scope="module")
 def deviations():
     grid = make_grid(n_x=64, n_v=128)
     eq = projected_fd_finite_t(t_over_tf=0.05)
-    return wigner.semiclassical_limit_check(
+    return semiclassical_limit_check(
         grid, eq, Perturbation(0.05, 1.0), [0.5, 0.25, 0.125],
         t_end=5.0, dt=0.02)
 
@@ -267,15 +289,15 @@ class TestSemiclassicalLimit:
     def test_deviation_grows_with_time_at_fixed_h(self):
         grid = make_grid(n_x=64, n_v=128)
         eq = projected_fd_finite_t(t_over_tf=0.05)
-        short = wigner.semiclassical_limit_check(
+        short = semiclassical_limit_check(
             grid, eq, Perturbation(0.05, 1.0), [0.25], t_end=2.0, dt=0.02)
-        long = wigner.semiclassical_limit_check(
+        long = semiclassical_limit_check(
             grid, eq, Perturbation(0.05, 1.0), [0.25], t_end=5.0, dt=0.02)
         assert 0 < short[0][1] < long[0][1]
 
     def test_zero_horizon_has_zero_deviation(self):
         grid = make_grid(n_x=32, n_v=64)
         eq = projected_fd_zero_t()
-        table = wigner.semiclassical_limit_check(
+        table = semiclassical_limit_check(
             grid, eq, Perturbation(0.05, 1.0), [0.5], t_end=0.0, dt=0.02)
         assert table[0][1] == 0.0
