@@ -38,17 +38,14 @@ class DielectricModel:
     """A tagged choice of dielectric function epsilon(K, omega).
 
     kind: vlasov | wigner | multistream | fluid.
-    Kinetic kinds carry an Equilibrium1D, the multistream kind a StreamSpec,
-    the fluid kind a polytropic exponent gamma and squared reference sound
-    speed v0_sq = P0 / (n0 m v_F^2).
+    Kinetic kinds carry an Equilibrium1D, the multistream kind a StreamSpec;
+    the fluid kind uses eps_fluid's default closure, the 1D degenerate one.
     """
 
     kind: str
     equilibrium: Optional[Equilibrium1D] = None
     streams: Optional[StreamSpec] = None
     H: float = 0.0
-    gamma: float = 3.0
-    v0_sq: float = 1.0 / 3.0
 
     def __post_init__(self):
         if self.H < 0:
@@ -66,7 +63,7 @@ class DielectricModel:
         if self.kind == MULTISTREAM:
             return eps_multistream(k, omega, self.streams, self.H)
         if self.kind == QUANTUM_FLUID:
-            return eps_fluid(k, omega, self.gamma, self.v0_sq, self.H)
+            return eps_fluid(k, omega, H=self.H)
         raise ValueError(f"unknown dielectric kind {self.kind!r}")
 
 

@@ -61,15 +61,18 @@ class Equilibrium1D:
 
     def f0(self, v):
         """Evaluate the distribution; accepts real arrays or complex scalars
-        (analytic continuation, used by the Landau-contour integrals)."""
+        (analytic continuation, used by the Landau-contour integrals).  A
+        compact profile continues as its inner polynomial wherever Re v
+        lies in the support, so the support test reads Re v, not |v|."""
         # A scalar stays a numpy scalar.  numpy squares a scalar with pow()
         # and an array with v * v, which can differ in the last bit, and
         # the dispersion scans are kept bit-stable on the scalar path.
         v = np.asarray(v)[()]
         if self.kind == WATERBAG:
-            return np.where(np.abs(v) <= 1.0, 0.5, 0.0)
+            return np.where(np.abs(np.real(v)) <= 1.0, 0.5, 0.0)
         if self.kind == PROJECTED_FD_T0:
-            return np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v ** 2), 0.0)
+            return np.where(np.abs(np.real(v)) <= 1.0,
+                            0.75 * (1.0 - v ** 2), 0.0)
         if self.kind == PROJECTED_FD:
             t = self.t_over_tf
             z = (self.mu - v ** 2) / t
@@ -83,7 +86,7 @@ class Equilibrium1D:
             raise ValueError("water-bag derivative is distributional; "
                              "use the closed-form dielectric instead")
         if self.kind == PROJECTED_FD_T0:
-            return np.where(np.abs(v) <= 1.0, -1.5 * v, 0.0)
+            return np.where(np.abs(np.real(v)) <= 1.0, -1.5 * v, 0.0)
         if self.kind == PROJECTED_FD:
             t = self.t_over_tf
             z = (self.mu - v ** 2) / t
@@ -357,16 +360,3 @@ class Perturbation:
                 f"k={self.k} is not commensurate with the box L={grid.length}")
         return 1.0 + self.alpha * np.cos(self.k * grid.x)
 
-
-def apply_cosine_perturbation(f0_values: np.ndarray, pert: Perturbation,
-                              grid: PhaseSpaceGrid) -> np.ndarray:
-    """f(x, v, 0) = f0(v) (1 + alpha cos k x) on the phase-space grid.
-
-    f0_values may be a 1D profile (per v node) or a full (n_v, n_x) field.
-    k must be an integer multiple of 2 pi / L.
-    """
-    modulation = pert.modulation(grid.spatial)
-    f0_values = np.asarray(f0_values, dtype=float)
-    if f0_values.ndim == 1:
-        return np.outer(f0_values, modulation)
-    return f0_values * modulation[None, :]

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .equilibria import Perturbation, StreamSet, hbar_eff
-from .fields import SpatialGrid, poisson_periodic, spectral_derivative
+from .fields import poisson_periodic, spectral_derivative
 
 
 class MadelungFields(NamedTuple):
@@ -48,14 +48,15 @@ def perturb_streams(streams: StreamSet, pert: Perturbation) -> StreamSet:
                      streams.probabilities, streams.H)
 
 
-def _split_step(psi: np.ndarray, weights: np.ndarray, grid: SpatialGrid,
-                H: float, dt: float, local_potential=None) -> np.ndarray:
-    """One Strang-split step of the streams psi (N, n_x) with occupation
-    weights (N,); local_potential, if given, is W(n) of the weighted
-    density, added to the potential energy -phi of the kick."""
-    hb = hbar_eff(H)
+def _split_step(streams: StreamSet, dt: float,
+                local_potential=None) -> np.ndarray:
+    """The streams' psi after one Strang-split step; local_potential, if
+    given, is W(n) of the weighted density, added to the potential energy
+    -phi of the kick."""
+    grid, weights = streams.grid, streams.probabilities
+    hb = hbar_eff(streams.H)
     half = np.exp(-0.5j * hb * grid.wavenumbers**2 * (0.5 * dt))[None, :]
-    psi = np.fft.ifft(np.fft.fft(psi, axis=1) * half, axis=1)
+    psi = np.fft.ifft(np.fft.fft(streams.psi, axis=1) * half, axis=1)
     n = np.einsum("a,ax->x", weights, np.abs(psi) ** 2)
     potential = -poisson_periodic(n, grid)
     if local_potential is not None:
@@ -69,20 +70,19 @@ def _split_step(psi: np.ndarray, weights: np.ndarray, grid: SpatialGrid,
 
 def step(streams: StreamSet, dt: float) -> StreamSet:
     """One Strang-split step; unitary per stream."""
-    psi = _split_step(streams.psi, streams.probabilities, streams.grid,
-                      streams.H, dt)
-    return StreamSet(streams.grid, psi, streams.probabilities, streams.H)
+    return StreamSet(streams.grid, _split_step(streams, dt),
+                     streams.probabilities, streams.H)
 
 
-def _wave_diagnostics(psi: np.ndarray, weights: np.ndarray, grid: SpatialGrid,
-                      H: float):
-    """Box-averaged (field energy, kinetic energy, mass, momentum) of the
-    streams psi (N, n_x) with occupation weights (N,).
+def _wave_diagnostics(streams: StreamSet):
+    """Box-averaged (field energy, kinetic energy, mass, momentum) of any
+    stream set, the fluid's one stream included.
 
     Kinetic energy is the weighted (hbar_eff^2/2)|psi_x|^2 average;
     momentum the weighted hbar_eff Im(psi* psi_x) average.
     """
-    hb = hbar_eff(H)
+    psi, weights, grid = streams.psi, streams.probabilities, streams.grid
+    hb = hbar_eff(streams.H)
     n = np.einsum("a,ax->x", weights, np.abs(psi) ** 2)
     phi = poisson_periodic(n, grid)
     efield = spectral_derivative(phi, grid)
@@ -96,24 +96,23 @@ def _wave_diagnostics(psi: np.ndarray, weights: np.ndarray, grid: SpatialGrid,
     return field_energy, kinetic, float(np.mean(n)), momentum
 
 
+# qfluid calls _wave_diagnostics, not this: a profiler that swaps a timed
+# wrapper in for hartree.diagnostics (as perfbench's tracer does) then
+# times Hartree work only.
 def diagnostics(streams: StreamSet):
     """Box-averaged (field energy, kinetic energy, mass, momentum)."""
-    return _wave_diagnostics(streams.psi, streams.probabilities, streams.grid,
-                             streams.H)
-
-
-def _madelung(psi: np.ndarray, H: float, dx: float) -> MadelungFields:
-    """MadelungFields along the last axis of psi; see madelung_decompose."""
-    n = np.abs(psi) ** 2
-    fwd = np.roll(psi, -1, axis=-1)
-    bwd = np.roll(psi, 1, axis=-1)
-    u = hbar_eff(H) * np.angle(fwd * np.conj(bwd)) / (2.0 * dx)
-    mask = n < 1e-8 * n.max(axis=-1, keepdims=True)
-    return MadelungFields(n, np.where(mask, 0.0, u), mask)
+    return _wave_diagnostics(streams)
 
 
 def madelung_decompose(streams: StreamSet) -> MadelungFields:
     """Density n_a = |psi_a|^2 and velocity u_a from the local phase
     increment hbar_eff * arg(psi(x+dx) conj(psi(x-dx))) / (2 dx), which
     needs no global phase unwrapping."""
-    return _madelung(streams.psi, streams.H, streams.grid.dx)
+    psi = streams.psi
+    n = np.abs(psi) ** 2
+    fwd = np.roll(psi, -1, axis=-1)
+    bwd = np.roll(psi, 1, axis=-1)
+    u = (hbar_eff(streams.H) * np.angle(fwd * np.conj(bwd))
+         / (2.0 * streams.grid.dx))
+    mask = n < 1e-8 * n.max(axis=-1, keepdims=True)
+    return MadelungFields(n, np.where(mask, 0.0, u), mask)

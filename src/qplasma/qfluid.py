@@ -24,28 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import Perturbation, hbar_eff
+from .equilibria import Perturbation, StreamSet, hbar_eff
 from .fields import SpatialGrid
-from .hartree import MadelungFields, _madelung, _split_step, _wave_diagnostics
-
-# Occupation weight of the fluid's single stream.
-_ONE_STREAM = np.ones(1)
-_ONE_STREAM.flags.writeable = False
+from .hartree import _split_step, _wave_diagnostics
 
 
 @dataclass
-class FluidState:
-    """Effective wavefunction with a polytropic closure (gamma, p0)."""
+class FluidState(StreamSet):
+    """Effective wavefunction as one stream of weight 1, psi shaped
+    (1, n_x), with a polytropic closure (gamma, p0)."""
 
-    psi: np.ndarray
-    grid: SpatialGrid
-    H: float
     gamma: float = 3.0
     p0: float = 1.0 / 3.0
-    time: float = 0.0
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.psi) ** 2
 
 
 def initial_state(grid: SpatialGrid, H: float,
@@ -58,7 +48,8 @@ def initial_state(grid: SpatialGrid, H: float,
     n = np.ones(grid.n_x)
     if perturbation is not None:
         n = perturbation.modulation(grid)
-    return FluidState(np.sqrt(n).astype(complex), grid, H, gamma, p0)
+    return FluidState(grid, np.sqrt(n).astype(complex)[None, :], np.ones(1),
+                      H, gamma, p0)
 
 
 def enthalpy(n: np.ndarray, gamma: float, p0: float) -> np.ndarray:
@@ -94,10 +85,9 @@ def step(state: FluidState, dt: float) -> FluidState:
             "kinetic phase per step exceeds pi at the grid cutoff; "
             "split-step resonance can pump grid modes, reduce dt",
             RuntimeWarning)
-    psi = _split_step(state.psi[None, :], _ONE_STREAM, state.grid, state.H,
-                      dt, lambda n: enthalpy(n, state.gamma, state.p0))
-    return FluidState(psi[0], state.grid, state.H, state.gamma, state.p0,
-                      state.time + dt)
+    psi = _split_step(state, dt, lambda n: enthalpy(n, state.gamma, state.p0))
+    return FluidState(state.grid, psi, state.probabilities, state.H,
+                      state.gamma, state.p0)
 
 
 def diagnostics(state: FluidState):
@@ -107,14 +97,8 @@ def diagnostics(state: FluidState):
     energy of the closure, so that field + transport is the conserved
     functional of the model.
     """
-    field_energy, kinetic, mass, momentum = _wave_diagnostics(
-        state.psi[None, :], _ONE_STREAM, state.grid, state.H)
+    field_energy, kinetic, mass, momentum = _wave_diagnostics(state)
     internal = float(np.mean(internal_energy(state.density(), state.gamma,
                                              state.p0)))
     return field_energy, kinetic + internal, mass, momentum
 
-
-def madelung_fields(state: FluidState) -> MadelungFields:
-    """Density and flow velocity (n, u) with a vacuum mask, as
-    hartree.madelung_decompose gives them for one stream."""
-    return _madelung(state.psi, state.H, state.grid.dx)

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import spline_filter1d
 
-from .equilibria import Equilibrium1D, Perturbation, apply_cosine_perturbation
+from .equilibria import Equilibrium1D, Perturbation
 from .fields import PhaseSpaceGrid, poisson_periodic, spectral_derivative
 
 # Zero rows scipy.ndimage puts on each side of the velocity axis before the
@@ -53,7 +53,6 @@ class VlasovState:
 
     f: np.ndarray
     grid: PhaseSpaceGrid
-    time: float = 0.0
 
 
 def initial_state(grid: PhaseSpaceGrid, eq: Equilibrium1D,
@@ -66,10 +65,9 @@ def initial_state(grid: PhaseSpaceGrid, eq: Equilibrium1D,
     # multiply by the reciprocal, not a division: the two differ in the
     # last bit, and initial states keep their bits.
     profile *= 1.0 / (np.sum(profile) * grid.dv)
-    f = np.broadcast_to(profile[:, None], (grid.n_v, grid.spatial.n_x)).copy()
-    if perturbation is not None:
-        f = apply_cosine_perturbation(f, perturbation, grid)
-    return VlasovState(f, grid)
+    modulation = (np.ones(grid.spatial.n_x) if perturbation is None
+                  else perturbation.modulation(grid.spatial))
+    return VlasovState(np.outer(profile, modulation), grid)
 
 
 def _spline_taps(offset: np.ndarray):
@@ -142,7 +140,7 @@ def step(state: VlasovState, dt: float) -> VlasovState:
     accel = spectral_derivative(phi, state.grid.spatial)
     f = advect_v(f, state.grid, accel, dt)
     f = advect_x(f, state.grid, 0.5 * dt)
-    return VlasovState(f, state.grid, state.time + dt)
+    return VlasovState(f, state.grid)
 
 
 def diagnostics(state: VlasovState):

@@ -37,13 +37,10 @@ from . import vlasov as _vlasov
 
 
 @dataclass
-class WignerState:
+class WignerState(_vlasov.VlasovState):
     """Real phase-space field f indexed [i_v, i_x], with quantum scale H."""
 
-    f: np.ndarray
-    grid: PhaseSpaceGrid
     H: float
-    time: float = 0.0
 
 
 def lambda_nodes(grid: PhaseSpaceGrid, H: float) -> np.ndarray:
@@ -62,8 +59,7 @@ def initial_state(grid: PhaseSpaceGrid, eq: Equilibrium1D, H: float,
                   perturbation: Perturbation | None = None) -> WignerState:
     """Perturbed kinetic equilibrium sampled on the grid (not a transform
     of an actual mixed state; tag runs accordingly)."""
-    base = _vlasov.initial_state(grid, eq, perturbation)
-    return WignerState(base.f, grid, H)
+    return WignerState(_vlasov.initial_state(grid, eq, perturbation).f, grid, H)
 
 
 def from_phase_space_field(f: np.ndarray, grid: PhaseSpaceGrid,
@@ -152,9 +148,8 @@ def step(state: WignerState, dt: float,
     f = potential_kick(f, state.grid, state.H, dt, phi, external_potential)
     f = advect_x(f, state.grid, 0.5 * dt)
     if not np.all(np.isfinite(f)):
-        raise FloatingPointError(
-            f"non-finite values in f at t={state.time + dt:.3f}")
-    return WignerState(f, state.grid, state.H, state.time + dt)
+        raise FloatingPointError("non-finite values in f")
+    return WignerState(f, state.grid, state.H)
 
 
 # The diagnostics read only f and its grid, as for the classical model.

@@ -93,6 +93,18 @@ class TestQuantumKinetic:
         slope = np.polyfit(np.log(hs), np.log(devs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.2)
 
+    @pytest.mark.parametrize("H, re_omega", [(0.0, 0.9), (1.0, 1.15)])
+    def test_continuation_is_continuous_across_the_unit_circle(self, H,
+                                                               re_omega):
+        # At K = 1 the Landau pole (omega - H/4) = 0.9 - ib crosses |v| = 1
+        # between b = 0.435 and 0.44 with its real part inside the support.
+        # The residue must not drop out there; it did while the support
+        # test read |v|, and eps jumped by about 9.
+        eq = projected_fd_zero_t()
+        inner, outer = (eps_wigner(1.0, re_omega - 1j * b, eq, H)
+                        for b in (0.435, 0.44))
+        assert abs(outer - inner) < 0.2
+
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             eps_wigner(1.0, 1.5 + 0.1j, projected_fd_zero_t(), 1.0,

@@ -8,11 +8,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from qplasma import equilibria
+from qplasma import equilibria, vlasov
 from qplasma.config import EQUILIBRIA
 from qplasma.constants import ELECTRON_MASS, HBAR
 from qplasma.equilibria import (Perturbation, StreamSpec, _softplus,
-                                apply_cosine_perturbation,
                                 fd_stream_occupations,
                                 hbar_eff, make_equilibrium,
                                 plane_wave_mixture, projected_fd_finite_t,
@@ -417,31 +416,30 @@ class TestMixtureTransform:
 class TestPerturbation:
     def setup_method(self):
         self.grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 64), 3.0, 64)
+        self.eq = projected_fd_zero_t()
+
+    def initial_f(self, alpha, k=1.0):
+        return vlasov.initial_state(self.grid, self.eq,
+                                    Perturbation(alpha, k)).f
 
     def test_zero_amplitude_is_identity(self):
-        f0 = np.random.default_rng(0).random((64, 64))
-        out = apply_cosine_perturbation(f0, Perturbation(0.0, 1.0), self.grid)
-        assert np.array_equal(out, f0)
+        plain = vlasov.initial_state(self.grid, self.eq).f
+        assert np.array_equal(self.initial_f(0.0), plain)
 
     def test_density_modulation(self):
-        prof = projected_fd_zero_t().f0(self.grid.v).real
-        out = apply_cosine_perturbation(prof, Perturbation(0.1, 1.0),
-                                        self.grid)
-        n = np.sum(out, axis=0) * self.grid.dv
-        n0 = np.sum(prof) * self.grid.dv
+        plain = vlasov.initial_state(self.grid, self.eq).f
+        n0 = np.sum(plain[:, 0]) * self.grid.dv
+        n = np.sum(self.initial_f(0.1), axis=0) * self.grid.dv
         expected = n0 * (1.0 + 0.1 * np.cos(self.grid.spatial.x))
         assert np.max(np.abs(n - expected)) < 1e-12
         assert abs(np.mean(n) - n0) < 1e-14  # spatial average unchanged
 
     def test_nonnegative_iff_amplitude_below_one(self):
-        prof = projected_fd_zero_t().f0(self.grid.v).real
-        ok = apply_cosine_perturbation(prof, Perturbation(1.0, 1.0), self.grid)
-        assert ok.min() >= 0.0
+        assert self.initial_f(1.0).min() >= 0.0
 
     def test_incommensurate_wavenumber_rejected(self):
         with pytest.raises(ValueError, match="commensurate"):
-            apply_cosine_perturbation(np.ones((64, 64)),
-                                      Perturbation(0.1, 1.3), self.grid)
+            self.initial_f(0.1, 1.3)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ split-step resonance guard."""
 import numpy as np
 import pytest
 
-from qplasma import qfluid
+from qplasma import hartree, qfluid
 from qplasma.diagio import fit_damping_rate
 from qplasma.dispersion import fluid_omega_sq
 from qplasma.equilibria import Perturbation, hbar_eff
@@ -47,10 +47,26 @@ class TestBasics:
 
     def test_uniform_state_has_zero_velocity(self):
         state = qfluid.initial_state(SpatialGrid(2.0 * np.pi, 64), 1.0)
-        n, u, mask = qfluid.madelung_fields(state)
+        n, u, mask = hartree.madelung_decompose(state)
         assert np.max(np.abs(n - 1.0)) < 1e-14
         assert np.max(np.abs(u)) < 1e-14
         assert not mask.any()
+
+    def test_hartree_decomposition_and_diagnostics_take_the_fluid(self):
+        # The fluid is one Hartree stream of weight 1; hartree's diagnostics
+        # are the fluid's without the closure's internal energy.
+        state = qfluid.initial_state(SpatialGrid(2.0 * np.pi, 64), 1.0,
+                                     Perturbation(0.05, 1.0))
+        for _ in range(50):
+            state = qfluid.step(state, 0.01)
+        n, u, mask = hartree.madelung_decompose(state)
+        assert n.shape == u.shape == mask.shape == (1, 64)
+        assert np.array_equal(n[0], state.density())
+        field, kinetic, mass, momentum = hartree.diagnostics(state)
+        fluid = qfluid.diagnostics(state)
+        internal = float(np.mean(qfluid.internal_energy(
+            state.density(), state.gamma, state.p0)))
+        assert fluid == (field, kinetic + internal, mass, momentum)
 
 
 class TestLinearFrequency:
@@ -104,7 +120,7 @@ class TestConservation:
         times, energy = [], []
         for i in range(n_steps):
             state = qfluid.step(state, dt)
-            times.append(state.time)
+            times.append((i + 1) * dt)
             energy.append(qfluid.diagnostics(state)[0])
         gamma, _, _, _ = fit_damping_rate(np.asarray(times),
                                           np.asarray(energy),

@@ -50,6 +50,21 @@ def test_every_configurable_model_is_covered():
     assert sorted(CONFIGS) == sorted(MODELS)
 
 
+def test_model_table_matches_the_config_names():
+    assert sorted(simulate.MODELS) == sorted(MODELS)
+
+
+def test_fluid_snapshots_hold_one_stream_without_probabilities(tmp_path):
+    cfg = CONFIGS["fluid"]
+    paths = simulate.write_outputs(cfg, simulate.run(cfg), tmp_path)
+    snapshots = [p for p in paths if Path(p).suffix == ".qpsn"]
+    assert len(snapshots) == 2
+    for path in snapshots:
+        header, _ = diagio.read_snapshot(path)
+        assert "probabilities" not in header
+        assert header["shape"] == [1, cfg.n_x]
+
+
 @pytest.mark.parametrize("model", sorted(CONFIGS))
 def test_run_looks_up_the_solver_step_at_call_time(model, monkeypatch):
     module = SOLVERS[model]

@@ -163,12 +163,6 @@ class TestStep:
         fe, _, _, _ = vlasov.diagnostics(state)
         assert fe < 1e-20
 
-    def test_time_advances(self):
-        grid = make_grid(n_x=32, n_v=32)
-        state = vlasov.initial_state(grid, projected_fd_zero_t())
-        state = vlasov.step(state, 0.05)
-        assert state.time == pytest.approx(0.05)
-
     def test_conservation_over_moderate_horizon(self):
         grid = make_grid()
         state = vlasov.initial_state(grid, projected_fd_finite_t(t_over_tf=0.01),
