@@ -16,8 +16,8 @@ import numpy as np
 
 from . import simulate
 from .config import EQUILIBRIA, ConfigError, parse_config
-from .dispersion import (MULTISTREAM, QUANTUM_FLUID, VLASOV_KINETIC,
-                         WIGNER_KINETIC, DielectricModel, k_scan)
+from .dispersion import (QUANTUM_FLUID, VLASOV_KINETIC, WIGNER_KINETIC,
+                         DielectricModel, k_scan)
 from .equilibria import make_equilibrium
 from .params import (PhysicalConditions, classify_regime,
                      compute_dimensionless, compute_scales,
@@ -87,19 +87,14 @@ def cmd_params(args) -> int:
 
 def cmd_dispersion(args) -> int:
     eq = None
-    if args.model in (VLASOV_KINETIC, WIGNER_KINETIC):
-        try:
+    try:
+        if args.model in (VLASOV_KINETIC, WIGNER_KINETIC):
             eq = make_equilibrium(args.equilibrium, args.t_over_tf)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-    if args.model == MULTISTREAM:
-        print("error: multistream scans need a stream table; use the "
-              "library API", file=sys.stderr)
+        model = DielectricModel(args.model, equilibrium=eq, H=args.h)
+        roots = k_scan(model, np.linspace(args.kmin, args.kmax, args.nk))
+    except (ValueError, ArithmeticError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
-    model = DielectricModel(args.model, equilibrium=eq, H=args.h)
-    ks = np.linspace(args.kmin, args.kmax, args.nk)
-    roots = k_scan(model, ks)
     lines = ["k,re_omega,im_omega,residual"]
     for r in roots:
         lines.append(f"{float(r.k)!r},{float(r.omega.real)!r},"
@@ -183,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispersion", help="root scan of a dielectric model")
     p.add_argument("--model", required=True, choices=sorted(
-        (VLASOV_KINETIC, WIGNER_KINETIC, MULTISTREAM, QUANTUM_FLUID)))
+        (VLASOV_KINETIC, WIGNER_KINETIC, QUANTUM_FLUID)))
     p.add_argument("--equilibrium", choices=EQUILIBRIA,
                    default="fd3d_projected_T0")
     p.add_argument("--t-over-tf", type=float, default=0.0, dest="t_over_tf")

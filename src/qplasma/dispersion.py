@@ -40,6 +40,7 @@ class DielectricModel:
     kind: vlasov | wigner | multistream | fluid.
     Kinetic kinds carry an Equilibrium1D, the multistream kind a StreamSpec;
     the fluid kind uses eps_fluid's default closure, the 1D degenerate one.
+    The vlasov kind is classical and takes only H = 0.
     """
 
     kind: str
@@ -50,6 +51,8 @@ class DielectricModel:
     def __post_init__(self):
         if self.H < 0:
             raise ValueError("H must be nonnegative")
+        if self.kind == VLASOV_KINETIC and self.H != 0.0:
+            raise ValueError("the vlasov model is classical: H must be 0")
         if self.kind in (VLASOV_KINETIC, WIGNER_KINETIC) and self.equilibrium is None:
             raise ValueError(f"{self.kind} model requires an equilibrium")
         if self.kind == MULTISTREAM and self.streams is None:
@@ -81,10 +84,9 @@ def _pole_integral(g, w: complex, k: float, v_lo: float, v_hi: float) -> complex
     """Landau-continued integral of g(v) / (w - k v) over [v_lo, v_hi].
 
     g must be callable on complex arguments (analytic continuation of the
-    real-axis profile).  The pole sits at v0 = w / k.
+    real-axis profile).  The pole sits at v0 = w / k; k > 0 is the
+    caller's check.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
     v0 = w / k
     v0r, v0i = float(np.real(v0)), float(np.imag(v0))
     inside = v_lo < v0r < v_hi
@@ -123,38 +125,20 @@ def eps_vlasov(k: float, omega: complex, eq: Equilibrium1D) -> complex:
     return 1.0 + _pole_integral(eq.df0, omega, k, -edge, edge) / k
 
 
-def _waterbag_wigner(k: float, omega: complex, H: float) -> complex:
-    # A real omega is taken as omega + 0j, so that the logs are complex.
-    omega = omega + 0j
-    a = H * k**2 / 4.0
-    return 1.0 - (np.log((omega + k - a) / (omega - k - a))
-                  - np.log((omega + k + a) / (omega - k + a))) / (4.0 * a * k)
-
-
-def eps_wigner(k: float, omega: complex, eq: Equilibrium1D, H: float,
-               form: str = "pole") -> complex:
-    """Quantum kinetic dielectric with recoil-shifted poles.
-
-    form="pole": 1 - int f0 / [(omega - K v)^2 - (H K^2 / 4)^2] dv, split
-    in partial fractions so the Landau rule applies per shifted frequency.
-    form="shifted": the equivalent finite-difference-in-v form,
-    1 + (2 / H K^2) int [f0(v + HK/4) - f0(v - HK/4)] / (omega - K v) dv.
+def eps_wigner(k: float, omega: complex, eq: Equilibrium1D,
+               H: float) -> complex:
+    """Quantum kinetic dielectric with recoil-shifted poles,
+    1 - int f0 / [(omega - K v)^2 - (H K^2 / 4)^2] dv, split in partial
+    fractions so that the Landau rule applies per shifted frequency:
+    1 - [I(omega - a) - I(omega + a)] / 2a, with a = H K^2 / 4 and
+    I(w) = int f0 / (w - K v) dv taken by _pole_integral, for every profile.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if H == 0.0:
         return eps_vlasov(k, omega, eq)
     a = H * k**2 / 4.0
-    if eq.kind == WATERBAG and form == "pole":
-        return _waterbag_wigner(k, omega, H)
     edge = eq.support
-    s = H * k / 4.0
-    if form == "shifted":
-        g = lambda v: eq.f0(v + s) - eq.f0(v - s)
-        return 1.0 + 2.0 / (H * k**2) * _pole_integral(g, omega, k,
-                                                       -edge - s, edge + s)
-    if form != "pole":
-        raise ValueError(f"unknown form {form!r}")
     i_minus = _pole_integral(eq.f0, omega - a, k, -edge, edge)
     i_plus = _pole_integral(eq.f0, omega + a, k, -edge, edge)
     return 1.0 - (i_minus - i_plus) / (2.0 * a)
@@ -172,20 +156,6 @@ def eps_multistream(k: float, omega: complex, spec: StreamSpec,
     if np.any(denom == 0.0):
         raise ZeroDivisionError("evaluation point sits on a stream pole")
     return complex(1.0 - np.sum(p / denom))
-
-
-def eps_wigner_delta(k: float, omega: complex, spec: StreamSpec,
-                     H: float) -> complex:
-    """Kinetic dielectric evaluated for a delta-comb equilibrium via the
-    shifted-pole difference form; analytically identical to eps_multistream
-    but assembled from the two displaced poles separately."""
-    if k <= 0 or H <= 0:
-        raise ValueError("k and H must be positive")
-    s = H * k / 4.0
-    p = np.asarray(spec.probabilities)
-    u = np.asarray(spec.velocities)
-    terms = 1.0 / (omega - k * (u - s)) - 1.0 / (omega - k * (u + s))
-    return complex(1.0 + 2.0 / (H * k**2) * np.sum(p * terms))
 
 
 def eps_fluid(k: float, omega: complex, gamma: float = 3.0,

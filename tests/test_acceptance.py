@@ -14,9 +14,8 @@ from qplasma.config import ScenarioConfig
 from qplasma.diagio import (damping_halt_time, detect_vortex,
                             fit_damping_rate, read_snapshot, write_snapshot)
 from qplasma.dispersion import (MULTISTREAM, VLASOV_KINETIC, WIGNER_KINETIC,
-                                DielectricModel, eps_wigner_delta,
-                                fluid_omega_sq, k_scan, smallk_coefficients,
-                                solve_root)
+                                DielectricModel, fluid_omega_sq, k_scan,
+                                smallk_coefficients, solve_root)
 from qplasma.equilibria import (Perturbation, fd_stream_occupations,
                                 make_equilibrium, plane_wave_mixture,
                                 waterbag_1d, wigner_of_mixture)
@@ -24,6 +23,8 @@ from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, moments,
                             poisson_periodic, spectral_derivative)
 from qplasma.params import (PhysicalConditions, compute_dimensionless,
                             compute_scales, pauli_collision_time)
+
+from dielectric_reference import eps_delta_comb
 
 GOLD = PhysicalConditions(number_density=5.9e28, temperature=300.0)
 
@@ -224,7 +225,7 @@ def test_criterion_8_mixture_and_phase_space_models_agree():
 
     model = DielectricModel(MULTISTREAM, streams=spec, H=h_param)
     root_ms = solve_root(model, 1.0, guess=np.sqrt(2.0) + 0j).omega
-    root_delta = newton(lambda w: eps_wigner_delta(1.0, w, spec, h_param),
+    root_delta = newton(lambda w: eps_delta_comb(1.0, w, spec, h_param),
                         root_ms + 1e-4, tol=1e-13)
     root_gap = abs(root_delta - root_ms)
     ok = sup < 1e-3 and root_gap < 1e-8

@@ -187,9 +187,28 @@ class TestDispersionCommand:
             assert res < 1e-10
 
     def test_multistream_scan_is_refused(self, capsys):
-        rc = cli.main(["dispersion", "--model", "multistream"])
+        with pytest.raises(SystemExit) as err:
+            cli.main(["dispersion", "--model", "multistream"])
+        assert err.value.code == 2
+        assert "invalid choice: 'multistream'" in capsys.readouterr().err
+
+    def test_unconverged_root_is_an_error_line(self, capsys):
+        rc = cli.main(["dispersion", "--model", "wigner", "--equilibrium",
+                       "waterbag1d", "--h", "1"])
         assert rc == 2
-        assert "stream table" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: root iteration did not converge at K=1.5: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_classical_scan_takes_no_planck_constant(self, capsys):
+        rc = cli.main(["dispersion", "--model", "vlasov", "--h", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the vlasov model is classical: "
+                                "H must be 0\n")
+        assert captured.out == ""
 
     def test_unknown_equilibrium_is_refused(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -9,10 +9,14 @@ import pytest
 from qplasma.dispersion import (MULTISTREAM, QUANTUM_FLUID, VLASOV_KINETIC,
                                 WIGNER_KINETIC, DielectricModel,
                                 eps_fluid, eps_multistream, eps_vlasov,
-                                eps_wigner, eps_wigner_delta, fluid_omega_sq,
-                                k_scan, smallk_coefficients, solve_root)
+                                eps_wigner, fluid_omega_sq, k_scan,
+                                smallk_coefficients, solve_root)
 from qplasma.equilibria import (StreamSpec, projected_fd_finite_t,
                                 projected_fd_zero_t, waterbag_1d)
+
+from dielectric_reference import (eps_delta_comb, eps_vlasov_t0,
+                                  eps_wigner_shifted, eps_wigner_t0,
+                                  eps_wigner_waterbag)
 
 def random_points(n, seed=42, re_lo=0.3, re_hi=3.0, im_lo=0.05, im_hi=0.5):
     """Complex frequencies in the upper half plane plus wavenumbers;
@@ -64,13 +68,14 @@ class TestQuantumKinetic:
     def test_flat_top_closed_form_vs_quadrature(self):
         eq = waterbag_1d()
         for k, w in zip(*random_points(5)):
-            closed = eps_wigner(k, w, eq, 1.0, form="pole")
-            quad = eps_wigner(k, w, eq, 1.0, form="shifted")
+            closed = eps_wigner_waterbag(k, w, 1.0)
+            quad = eps_wigner(k, w, eq, 1.0)
             assert abs(closed - quad) < 1e-10
 
     def test_flat_top_closed_form_on_a_real_frequency(self):
-        # Inside the recoil-shifted resonance band the log arguments are
-        # negative reals: a float omega must take the complex log.
+        # Inside the recoil-shifted resonance band (the closed form's log
+        # arguments are negative reals there) a float omega and the same
+        # omega as a complex must give one value, with no warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             val = eps_wigner(1.8, 1.9, waterbag_1d(), 0.7)
@@ -80,8 +85,8 @@ class TestQuantumKinetic:
     def test_pole_and_shifted_forms_agree(self):
         eq = projected_fd_zero_t()
         for k, w in zip(*random_points(5)):
-            a = eps_wigner(k, w, eq, 0.7, form="pole")
-            b = eps_wigner(k, w, eq, 0.7, form="shifted")
+            a = eps_wigner(k, w, eq, 0.7)
+            b = eps_wigner_shifted(k, w, eq, 0.7)
             assert abs(a - b) < 1e-10
 
     def test_h_to_zero_continuity_is_quadratic(self):
@@ -105,10 +110,58 @@ class TestQuantumKinetic:
                         for b in (0.435, 0.44))
         assert abs(outer - inner) < 0.2
 
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            eps_wigner(1.0, 1.5 + 0.1j, projected_fd_zero_t(), 1.0,
-                       form="banana")
+
+# Phase velocities u = omega / K of the closed-form checks: the upper
+# half-plane, the real axis inside and outside the support, and the lower
+# half-plane with |Im omega| <= 0.5 Re omega.  The recoil shift is
+# HK/4 <= 0.33 at H = 0.7.  At u = 1.02 - 0.3i one shifted pole has its
+# real part inside the support and the other outside, so only one of them
+# takes the Landau residue; the other points keep both on one side.
+UPPER = (0.5 + 0.3j, 1.6 + 0.2j)
+REAL_AXIS = (0.5, 1.7)
+LOWER = (0.6 - 0.25j, 0.3 - 0.1j, 1.5 - 0.5j, 1.02 - 0.3j)
+CLOSED_FORM_KS = (0.3, 0.7, 1.1, 1.5, 1.9)
+
+
+def closed_form_points(us=UPPER + REAL_AXIS + LOWER):
+    return [(k, k * u) for k in CLOSED_FORM_KS for u in us]
+
+
+class TestClosedFormReferences:
+    """The library's one Landau rule against the closed forms of the compact
+    profiles, and against the shifted form at finite temperature: each
+    within 1e-11 absolute."""
+
+    def test_waterbag_wigner_matches_the_continued_closed_form(self):
+        eq = waterbag_1d()
+        err = max(abs(eps_wigner(k, w, eq, 0.7)
+                      - eps_wigner_waterbag(k, w, 0.7))
+                  for k, w in closed_form_points())
+        assert err < 1e-11
+
+    def test_projected_zero_t_vlasov_matches_the_closed_form(self):
+        eq = projected_fd_zero_t()
+        err = max(abs(eps_vlasov(k, w, eq) - eps_vlasov_t0(k, w))
+                  for k, w in closed_form_points())
+        assert err < 1e-11
+
+    def test_projected_zero_t_wigner_matches_the_closed_form(self):
+        eq = projected_fd_zero_t()
+        err = max(abs(eps_wigner(k, w, eq, 0.7) - eps_wigner_t0(k, w, 0.7))
+                  for k, w in closed_form_points())
+        assert err < 1e-11
+
+    def test_finite_temperature_wigner_matches_the_shifted_form(self):
+        # No closed form here; the shifted form is an independent quadrature
+        # of a smooth integrand, checked where the Landau rule acts: below
+        # the axis.  (On the compact profiles its integrand has kinks at
+        # |v| = 1 - HK/4, and quad misses them by up to 3e-7.)
+        eq = projected_fd_finite_t(t_over_tf=0.01)
+        err = max(abs(eps_wigner(k, w, eq, 0.7)
+                      - eps_wigner_shifted(k, w, eq, 0.7))
+                  for k, w in closed_form_points(LOWER)
+                  if k in (0.3, 1.1, 1.9))
+        assert err < 1e-11
 
 
 class TestStreamMixtures:
@@ -123,7 +176,7 @@ class TestStreamMixtures:
                           velocities=(-1.0, -0.5, 0.5, 1.0))
         for k, w in zip(*random_points(8)):
             a = eps_multistream(k, w, spec, 1.0)
-            b = eps_wigner_delta(k, w, spec, 1.0)
+            b = eps_delta_comb(k, w, spec, 1.0)
             assert abs(a - b) < 1e-12
 
     def test_roots_coincide_between_the_two_forms(self):
@@ -137,7 +190,7 @@ class TestStreamMixtures:
             model = DielectricModel(MULTISTREAM, streams=spec, H=1.0)
             k = 2.0
             root = solve_root(model, k, guess=complex(np.sqrt(1 + k**2) + 1.0))
-            assert abs(eps_wigner_delta(k, root.omega, spec, 1.0)) < 1e-8
+            assert abs(eps_delta_comb(k, root.omega, spec, 1.0)) < 1e-8
 
     def test_classical_counter_streams_are_unstable(self):
         # Two cold streams at +-u0 with K u0 = 0.5: the closed quartic
@@ -236,6 +289,8 @@ class TestRootSolver:
             DielectricModel(MULTISTREAM)
         with pytest.raises(ValueError):
             DielectricModel(QUANTUM_FLUID, H=-1.0)
+        with pytest.raises(ValueError, match="H must be 0"):
+            DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d(), H=1.0)
 
 
 class TestSmallKExpansion:

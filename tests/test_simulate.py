@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qplasma import diagio, hartree, qfluid, simulate, vlasov, wigner
-from qplasma.config import MODELS, ScenarioConfig
+from qplasma.config import MODELS, ConfigError, ScenarioConfig, parse_config
 from qplasma.fields import SpatialGrid
 
 N_STEPS = 10
@@ -111,3 +111,15 @@ def test_written_files_read_back_equal_to_the_run(model, tmp_path):
             spatial = SpatialGrid(cfg.length, cfg.n_x)
             expected = simulate.stream_lattice_spec(cfg, spatial).probabilities
             assert header["probabilities"] == [float(p) for p in expected]
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 3")
+def test_coarse_velocity_grid_is_rejected_or_runs():
+    # Today this config passes validation, then the mass drift through the
+    # v-box edge trips poisson_periodic's neutrality check on step 3.
+    text = "model = vlasov\nn_x = 32\nn_v = 32\nt_end = 0.5\n"
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    simulate.run(cfg)
