@@ -31,12 +31,7 @@ MATERIALS = {
 
 def cmd_params(args) -> int:
     if args.material is not None:
-        try:
-            density, temperature = MATERIALS[args.material]
-        except KeyError:
-            print(f"error: unknown material {args.material!r}; "
-                  f"known: {sorted(MATERIALS)}", file=sys.stderr)
-            return 2
+        density, temperature = MATERIALS[args.material]
     elif args.density is not None and args.temperature is not None:
         density, temperature = args.density, args.temperature
     else:

@@ -1,7 +1,7 @@
 """Run diagnostics (energy series, damping-rate fits, vortex detection)
 and the bit-stable on-disk formats for series and phase-space snapshots.
 
-Series files are CSV with the fixed column order
+Series files are CSV, read back by the column names of their header row:
 t,field_energy,kinetic_energy,total_energy,mass,momentum (plus the same
 field energy rescaled per Fermi energy as a trailing column).  Snapshots
 are a small binary container: magic ``QPSN``, a little-endian u32 version,
@@ -82,26 +82,38 @@ def write_series_csv(series: DiagnosticSeries, path) -> None:
 
 
 def read_series_csv(path) -> DiagnosticSeries:
+    """Read a series file back, each column by its header name (columns
+    beyond SERIES_COLUMNS are not read).  Raises ValueError for a header
+    that lacks a series column, and names the line of a row whose field
+    count differs from the header's."""
     model = ""
     config_hash = ""
+    names = None
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 for tok in line[1:].split():
                     if tok.startswith("model="):
                         model = tok[len("model="):]
                     elif tok.startswith("config_hash="):
                         config_hash = tok[len("config_hash="):]
-                continue
-            if line.startswith("t,"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    data = np.array(rows, dtype=float).reshape(-1, 7)
-    return DiagnosticSeries(*(data[:, i].copy() for i in range(6)),
+            elif line and names is None:
+                names = line.split(",")
+            elif line:
+                fields = line.split(",")
+                if len(fields) != len(names):
+                    raise ValueError(f"{path}:{lineno}: {len(fields)} fields, "
+                                     f"but the header names {len(names)}")
+                rows.append([float(v) for v in fields])
+    missing = [c for c in SERIES_COLUMNS if c not in (names or ())]
+    if missing:
+        raise ValueError(f"{path}: no column {', '.join(missing)} in the "
+                         "header")
+    data = np.array(rows, dtype=float).reshape(-1, len(names))
+    return DiagnosticSeries(*(data[:, names.index(c)].copy()
+                              for c in SERIES_COLUMNS),
                             model=model, config_hash=config_hash)
 
 

@@ -7,14 +7,15 @@ quantum kinetic dielectric is hbar k / 2m -> H K / 4 and the recoil term
 hbar^2 k^4 / 4 m^2 -> H^2 K^4 / 16.
 
 The Landau rule: the velocity integrals are evaluated on the real axis for
-Im(omega) > 0 and analytically continued downwards by adding the pole
-residue (full residue below the axis, half on it).  For equilibria given
-in closed form the continuation of f0 to complex v is exact; the result is
-trusted only for |Im omega| <= 0.5 |Re omega| and flagged otherwise.
+Im(omega) > 0 and continued downwards by the log branch of the subtracted
+pole (see _pole_integral).  For equilibria given in closed form the
+continuation of f0 to complex v is exact; the result is trusted only for
+|Im omega| <= 0.5 |Re omega| and flagged otherwise.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +30,6 @@ WIGNER_KINETIC = "wigner"
 MULTISTREAM = "multistream"
 QUANTUM_FLUID = "fluid"
 
-_IM_TINY = 1e-7  # |Im v0| below which the principal-value branch is used
 _ROOT_TOL = 1e-10  # |eps| at which solve_root has converged
 
 
@@ -81,37 +81,30 @@ class DispersionRoot:
 
 
 def _pole_integral(g, w: complex, k: float, v_lo: float, v_hi: float) -> complex:
-    """Landau-continued integral of g(v) / (w - k v) over [v_lo, v_hi].
-
-    g must be callable on complex arguments (analytic continuation of the
-    real-axis profile).  The pole sits at v0 = w / k; k > 0 is the
-    caller's check.
+    """Landau-continued integral of g(v) / (w - k v) over [v_lo, v_hi], for
+    g callable on complex v and k > 0: with v0 = w / k, (1/k) [int (g(v) -
+    g(v0)) / (v0 - v) dv + g(v0) L], L = log((v0 - v_lo) / (v0 - v_hi)),
+    so quad sees a bounded integrand.  The Landau rule is L's branch: less
+    2 pi i below the axis (beyond the support, the residue of a cut tail
+    such as fd3d_projected's), and Im L = -pi on the axis inside the
+    support, whatever the sign of a zero imaginary part.  g(v0) = 0 skips
+    L, so a real pole on a support edge stays finite.
     """
-    v0 = w / k
-    v0r, v0i = float(np.real(v0)), float(np.imag(v0))
-    inside = v_lo < v0r < v_hi
-
-    def quad_cc(func, a, b, **kw):
-        re, _ = quad(lambda v: float(np.real(func(v))), a, b,
-                     limit=200, epsabs=1e-13, epsrel=1e-11, **kw)
-        im, _ = quad(lambda v: float(np.imag(func(v))), a, b,
-                     limit=200, epsabs=1e-13, epsrel=1e-11, **kw)
-        return re + 1j * im
-
-    if abs(v0i) <= _IM_TINY and inside:
-        # Principal value plus the half/full-residue limit: the two one-sided
-        # limits of the continued integral coincide with PV - (i pi / k) g(v0).
-        pv = quad_cc(lambda v: g(v), v_lo, v_hi, weight="cauchy", wvar=v0r)
-        return -pv / k - 1j * math.pi / k * complex(g(complex(v0r, v0i)))
-
-    integrand = lambda v: g(v) / (w - k * v)
-    if inside:
-        val = quad_cc(integrand, v_lo, v0r) + quad_cc(integrand, v0r, v_hi)
-    else:
-        val = quad_cc(integrand, v_lo, v_hi)
-    if v0i < 0.0:
-        val -= 2j * math.pi / k * complex(g(v0))
-    return val
+    v0 = complex(w) / k
+    g0 = complex(g(v0))
+    # Bounded, with limit -g'(v0) at v = v0.  A node exactly at a real v0
+    # takes 0 there instead of dividing by zero; quad's error estimate sees
+    # that one value and bisects until v0 is an end point, where no rule
+    # evaluates.
+    subtracted = lambda v: (g(v) - g0) / (v0 - v) if v != v0 else 0j
+    val, _ = quad(subtracted, v_lo, v_hi, complex_func=True,
+                  limit=200, epsabs=1e-13, epsrel=1e-11)
+    if g0:
+        log = cmath.log((v0 - v_lo) / (v0 - v_hi))
+        if v0.imag < 0.0 or (v_lo < v0.real < v_hi and log.imag >= 0.0):
+            log -= 2j * math.pi
+        val += g0 * log
+    return val / k
 
 
 def eps_vlasov(k: float, omega: complex, eq: Equilibrium1D) -> complex:
@@ -230,7 +223,8 @@ def solve_root(model: DielectricModel, k: float,
 
 def smallk_coefficients(model: DielectricModel, k_min: float = 0.02,
                         k_max: float = 0.2, n_k: int = 25):
-    """Fit omega^2(K) = c0 + c2 K^2 + c4 K^4 over a log-spaced K grid.
+    """Fit omega^2(K) = c0 + c2 K^2 + c4 K^4 to a k_scan's roots on a
+    log-spaced K grid.
 
     A K^6 nuisance term is carried in the basis so that the next order of
     the expansion does not bias c4; only (c0, c2, c4) are returned, plus
@@ -238,12 +232,7 @@ def smallk_coefficients(model: DielectricModel, k_min: float = 0.02,
     (expansion not valid on the requested range).
     """
     ks = np.geomspace(k_min, k_max, n_k)
-    omega_sq = np.empty_like(ks)
-    guess = None
-    for i, k in enumerate(ks):
-        root = solve_root(model, k, guess=guess)
-        omega_sq[i] = root.omega.real**2
-        guess = root.omega
+    omega_sq = np.array([root.omega.real**2 for root in k_scan(model, ks)])
     basis = np.vstack([np.ones_like(ks), ks**2, ks**4, ks**6]).T
     coeffs, *_ = np.linalg.lstsq(basis, omega_sq, rcond=None)
     resid = float(np.sqrt(np.mean((basis @ coeffs - omega_sq) ** 2)))

@@ -3,22 +3,63 @@
 The library takes the Wigner dielectric in one form for every profile, the
 pole form of `qplasma.dispersion.eps_wigner`.  The forms here are
 independent routes to the same function: a difference form, the
-delta-comb limit and closed forms for the compact profiles.  Normalized
-units as in `qplasma.dispersion`.
+delta-comb limit and closed forms for the compact profiles.  The
+difference form takes its Landau integrals by the library's former rule,
+`pole_integral_pv`.  Normalized units as in `qplasma.dispersion`.
 """
 
 import cmath
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
-from qplasma.dispersion import _pole_integral
+_IM_TINY = 1e-7  # |Im v0| below which the principal-value branch is used
+
+
+def pole_integral_pv(g, w, k, v_lo, v_hi):
+    """Landau-continued integral of g(v) / (w - k v) over [v_lo, v_hi], by
+    the rule `qplasma.dispersion._pole_integral` used before it took the
+    singularity subtraction: a Cauchy-weight principal value plus half the
+    residue within _IM_TINY of the axis, else a quad split at Re v0 plus
+    the full residue below the axis.
+
+    g must be callable on complex arguments (analytic continuation of the
+    real-axis profile).  The pole sits at v0 = w / k; k > 0 is the
+    caller's check.
+    """
+    v0 = w / k
+    v0r, v0i = float(np.real(v0)), float(np.imag(v0))
+    inside = v_lo < v0r < v_hi
+
+    def quad_cc(func, a, b, **kw):
+        re, _ = quad(lambda v: float(np.real(func(v))), a, b,
+                     limit=200, epsabs=1e-13, epsrel=1e-11, **kw)
+        im, _ = quad(lambda v: float(np.imag(func(v))), a, b,
+                     limit=200, epsabs=1e-13, epsrel=1e-11, **kw)
+        return re + 1j * im
+
+    if abs(v0i) <= _IM_TINY and inside:
+        # Principal value plus the half/full-residue limit: the two one-sided
+        # limits of the continued integral coincide with PV - (i pi / k) g(v0).
+        pv = quad_cc(lambda v: g(v), v_lo, v_hi, weight="cauchy", wvar=v0r)
+        return -pv / k - 1j * math.pi / k * complex(g(complex(v0r, v0i)))
+
+    integrand = lambda v: g(v) / (w - k * v)
+    if inside:
+        val = quad_cc(integrand, v_lo, v0r) + quad_cc(integrand, v0r, v_hi)
+    else:
+        val = quad_cc(integrand, v_lo, v_hi)
+    if v0i < 0.0:
+        val -= 2j * math.pi / k * complex(g(v0))
+    return val
 
 
 def eps_wigner_shifted(k, omega, eq, H):
     """Finite-difference-in-v form of the Wigner dielectric,
     1 + (2 / H K^2) int [f0(v + HK/4) - f0(v - HK/4)] / (omega - K v) dv,
-    with the Landau rule of `_pole_integral`.
+    with the Landau rule of `pole_integral_pv`, so that it shares no code
+    with the library's rule.
 
     Use it off the real axis only.  On the axis adaptive `quad` loses the
     steps of a compact profile inside the principal value: on `waterbag1d`
@@ -31,8 +72,8 @@ def eps_wigner_shifted(k, omega, eq, H):
     s = H * k / 4.0
     edge = eq.support
     g = lambda v: eq.f0(v + s) - eq.f0(v - s)
-    return 1.0 + 2.0 / (H * k**2) * _pole_integral(g, omega, k,
-                                                   -edge - s, edge + s)
+    return 1.0 + 2.0 / (H * k**2) * pole_integral_pv(g, omega, k,
+                                                     -edge - s, edge + s)
 
 
 def eps_delta_comb(k, omega, spec, H):

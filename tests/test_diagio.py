@@ -103,6 +103,30 @@ class TestSeries:
                      "total_energy", "mass", "momentum"):
             assert np.array_equal(getattr(back, name), getattr(s, name))
 
+    def test_columns_are_read_by_header_name(self, tmp_path):
+        # Six columns in seven rows: 42 values, which a reader reshaping to
+        # seven columns takes as six scrambled rows without complaint.
+        path = tmp_path / "series.csv"
+        rows = [(1.1 * i, 1e-3, 0.5, 0.5 + 1e-3, 1.0, 0.0) for i in range(7)]
+        path.write_text("# model=vlasov config_hash=abc\n"
+                        "t,field_energy,kinetic_energy,total_energy,mass,"
+                        "momentum\n"
+                        + "".join(",".join(repr(v) for v in row) + "\n"
+                                  for row in rows))
+        back = read_series_csv(path)
+        assert np.array_equal(back.times, [row[0] for row in rows])
+        assert np.array_equal(back.total_energy, np.full(7, 0.5 + 1e-3))
+
+    def test_short_row_is_rejected_with_its_line(self, tmp_path):
+        s = self.make_series()
+        path = tmp_path / "series.csv"
+        write_series_csv(s, path)
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"series.csv:5: 6 fields"):
+            read_series_csv(path)
+
     def test_nonmonotone_times_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             DiagnosticSeries(np.array([0.0, 0.2, 0.1]), np.zeros(3),

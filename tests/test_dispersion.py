@@ -16,7 +16,8 @@ from qplasma.equilibria import (StreamSpec, projected_fd_finite_t,
 
 from dielectric_reference import (eps_delta_comb, eps_vlasov_t0,
                                   eps_wigner_shifted, eps_wigner_t0,
-                                  eps_wigner_waterbag)
+                                  eps_wigner_waterbag, pole_integral_pv,
+                                  pole_integral_t0)
 
 def random_points(n, seed=42, re_lo=0.3, re_hi=3.0, im_lo=0.05, im_hi=0.5):
     """Complex frequencies in the upper half plane plus wavenumbers;
@@ -163,6 +164,64 @@ class TestClosedFormReferences:
                   if k in (0.3, 1.1, 1.9))
         assert err < 1e-11
 
+    def test_finite_temperature_residue_beyond_the_support(self):
+        # The profile is cut at e = sqrt(mu + 700 t), but its continuation
+        # is not small below the axis: at T/T_F = 1e-4, f0(1.04 - 0.35i) is
+        # about 0.03 + 0.55i.  A pole there, with Re v0 > e, takes the
+        # Landau residue, which the references add by hand.
+        eq = projected_fd_finite_t(t_over_tf=1e-4)
+        edge = eq.support
+        points = [(0.3, 0.3 * (1.04 - 0.35j)), (1.0, 1.2 - 0.5j)]
+        err_vlasov = max(abs(eps_vlasov(k, w, eq) - 1.0
+                             - pole_integral_pv(eq.df0, w, k, -edge, edge) / k)
+                         for k, w in points)
+        err_wigner = max(abs(eps_wigner(k, w, eq, 1.0)
+                             - eps_wigner_shifted(k, w, eq, 1.0))
+                         for k, w in points)
+        assert max(err_vlasov, err_wigner) < 1e-11
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_zero_t_wigner_pole_on_the_support_edge(self, side):
+        # omega = +-(K + a) puts one shifted pole exactly on v = +-1, where
+        # f0 vanishes and that integral is +-3/2K in the limit of the
+        # closed form.  K = 0.5, H = 1 keep the pole at +-1.0 to the bit.
+        k, H = 0.5, 1.0
+        a = H * k**2 / 4.0
+        far = pole_integral_t0(side * (k + 2.0 * a), k)
+        want = 1.0 - (1.5 / k - side * far) / (2.0 * a)
+        got = eps_wigner(k, side * (k + a), projected_fd_zero_t(), H)
+        assert abs(got - want) < 1e-11
+
+
+class TestFiniteTemperaturePinnedValues:
+    """eps_wigner on fd3d_projected (T/T_F = 0.01) on the real axis at
+    phase velocities 3% inside and outside the Fermi edge, within 1e-11 of
+    values computed once with mpmath 1.3.0 at 40 digits.  With the
+    library's mu and support edge e, f0 = (3/4) t log1p(exp((mu - v^2)/t))
+    and each shifted pole v0 = (omega -+ HK^2/4) / K, real and inside
+    (-e, e), the script took
+
+        sub = mp.quad(lambda v: (f0(v) - f0(v0)) / (v0 - v) if v != v0
+                      else 0, sorted({-e, -r - 40 t, -r, -r + 40 t, v0,
+                      r - 40 t, r, r + 40 t, e}), maxdegree=10)
+        I(v0) = (sub + f0(v0) (log((v0 + e) / (e - v0)) - i pi)) / K
+
+    with r = sqrt(mu), and eps = 1 - [I(v0-) - I(v0+)] / (HK^2/2).  At 60
+    digits every value repeats to 25 digits.
+    """
+
+    @pytest.mark.parametrize("k, u, H, want", [
+        (0.1, 0.97, 0.7, -329.6308492865118423710024
+         + 451.6741006599943677805057j),
+        (0.1, 1.03, 0.7, -370.9197689570790881766778
+         + 5.186388877615524581244385j),
+        (0.3, 1.03, 1.0, -37.42817913590082084116546
+         + 15.34044310505439710367505j),
+    ])
+    def test_matches_the_high_precision_value(self, k, u, H, want):
+        eq = projected_fd_finite_t(t_over_tf=0.01)
+        assert abs(eps_wigner(k, k * u, eq, H) - want) < 1e-11
+
 
 class TestStreamMixtures:
     def test_single_cold_stream_root_is_unit_frequency(self):
@@ -261,6 +320,22 @@ class TestRootSolver:
         assert root.omega.real == pytest.approx(1.28967, abs=2e-4)
         assert abs(root.omega.imag) < 1e-6
         assert root.continuation_trusted
+
+    @pytest.mark.parametrize("k", [1.005, 1.0706])
+    def test_finite_temperature_wigner_root_from_the_default_guess(self, k):
+        # Newton from the default guess once spent all 100 iterations here.
+        model = DielectricModel(WIGNER_KINETIC, H=1.0,
+                                equilibrium=projected_fd_finite_t(0.01))
+        root = solve_root(model, k)
+        assert abs(model.eps(k, root.omega)) < 1e-10
+
+    def test_finite_temperature_vlasov_root_from_the_default_guess(self):
+        # Newton stalled here with residual 8e-8, which stopped the vlasov
+        # scan over the CLI's default K grid at K = 1.5.
+        model = DielectricModel(VLASOV_KINETIC,
+                                equilibrium=projected_fd_finite_t(0.01))
+        root = solve_root(model, 1.5)
+        assert abs(model.eps(1.5, root.omega)) < 1e-10
 
     def test_bad_guess_rejected(self):
         model = DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d())
