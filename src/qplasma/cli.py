@@ -131,8 +131,7 @@ def cmd_compare(args) -> int:
     if cfgs is None:
         return 2
     cfg_a, cfg_b = cfgs
-    grid_keys = ("k", "periods", "n_x", "n_v", "v_max", "dt", "t_end",
-                 "output_every")
+    grid_keys = ("k", "n_x", "n_v", "v_max", "dt", "t_end", "output_every")
     mismatched = [k for k in grid_keys
                   if getattr(cfg_a, k) != getattr(cfg_b, k)]
     if mismatched:

@@ -2,9 +2,9 @@
 collection, validation, canonical serialization and hashing.
 
 The format is line-oriented ``key = value`` with ``#`` comments.  All
-quantities are in normalized units.  The box length is always an integer
-number of perturbation wavelengths, L = 2 pi periods / k, so the seeded
-mode is commensurate by construction.
+quantities are in normalized units.  The box length is one perturbation
+wavelength, L = 2 pi / k, so the seeded mode is commensurate by
+construction.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields as dataclass_fields
+
+from .fields import SpatialGrid
+from .qfluid import check_splitstep_resonance
 
 MODELS = ("vlasov", "wigner", "hartree", "fluid")
 EQUILIBRIA = ("waterbag1d", "fd3d_projected_T0", "fd3d_projected")
@@ -36,7 +39,6 @@ class ScenarioConfig:
     alpha: float = 0.1
     k: float = 1.0
     h: float = 0.0
-    periods: int = 1
     n_x: int = 256
     n_v: int = 256
     v_max: float = 3.0
@@ -51,7 +53,7 @@ class ScenarioConfig:
 
     @property
     def length(self) -> float:
-        return 2.0 * 3.141592653589793 * self.periods / self.k
+        return 2.0 * 3.141592653589793 / self.k
 
     def to_text(self) -> str:
         """Canonical serialization; parse_config(to_text()) round-trips."""
@@ -121,10 +123,12 @@ def validate(cfg: ScenarioConfig):
     check(0.0 <= cfg.alpha <= 1.0, f"alpha must be in [0, 1], got {cfg.alpha}")
     check(cfg.k > 0, f"k must be positive, got {cfg.k}")
     check(cfg.h >= 0, f"h must be nonnegative, got {cfg.h}")
+    if cfg.model == "vlasov":
+        check(cfg.h <= 0, f"h must be 0 for model 'vlasov', which is "
+                          f"classical, got {cfg.h}")
     if cfg.model in ("wigner", "hartree", "fluid"):
         check(cfg.h > 0, f"model {cfg.model!r} requires h > 0")
     check(cfg.t_over_tf >= 0, f"t_over_tf must be nonnegative, got {cfg.t_over_tf}")
-    check(cfg.periods >= 1, f"periods must be at least 1, got {cfg.periods}")
     check(cfg.n_x >= 8, f"n_x must be at least 8, got {cfg.n_x}")
     check(cfg.n_v >= 8 and cfg.n_v % 2 == 0,
           f"n_v must be even and at least 8, got {cfg.n_v}")
@@ -149,6 +153,13 @@ def validate(cfg: ScenarioConfig):
     if cfg.model == "fluid":
         check(cfg.gamma >= 1.0, f"gamma must be at least 1, got {cfg.gamma}")
         check(cfg.p0 > 0, f"p0 must be positive, got {cfg.p0}")
+        if cfg.n_x >= 8 and cfg.k > 0 and cfg.h > 0 and cfg.dt > 0:
+            phase = check_splitstep_resonance(SpatialGrid(cfg.length, cfg.n_x),
+                                              cfg.h, cfg.dt)
+            check(phase < 1.0,
+                  f"dt must keep the kinetic phase per step at the grid "
+                  f"cutoff below pi (split-step resonance), got "
+                  f"{phase:.3g} pi at dt={cfg.dt}")
     if cfg.model == "hartree":
         check(cfg.n_streams >= 1,
               f"n_streams must be at least 1, got {cfg.n_streams}")

@@ -88,10 +88,16 @@ def _pole_integral(g, w: complex, k: float, v_lo: float, v_hi: float) -> complex
     2 pi i below the axis (beyond the support, the residue of a cut tail
     such as fd3d_projected's), and Im L = -pi on the axis inside the
     support, whatever the sign of a zero imaginary part.  g(v0) = 0 skips
-    L, so a real pole on a support edge stays finite.
+    L, so a real pole on a support edge stays finite; where g(v0) != 0 the
+    integral diverges there and raises ZeroDivisionError.
     """
     v0 = complex(w) / k
     g0 = complex(g(v0))
+    if g0 and v0.imag == 0.0 and v0.real in (v_lo, v_hi):
+        raise ZeroDivisionError(
+            f"evaluation point sits on the support edge v = {v0.real!r}, "
+            f"where g = {g0.real!r} is not 0: the integral diverges "
+            "logarithmically")
     # Bounded, with limit -g'(v0) at v = v0.  A node exactly at a real v0
     # takes 0 there instead of dividing by zero; quad's error estimate sees
     # that one value and bisects until v0 is an end point, where no rule

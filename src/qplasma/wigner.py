@@ -18,7 +18,7 @@ keeps the symmetry g(x, -lam) = conj(g(x, lam)): the kick works on the
 n_v/2 + 1 rows lam >= 0 of an rfft over v and returns by irfft (Suh, Feix
 & Bertrand, J. Comput. Phys. 94, 403, 1991).  The unpaired Nyquist row is
 left unkicked so f stays real.  The tables that depend only on the grid
-and H (the lam >= 0 nodes and the spectral shift 2i sin(k lam/2)) or on
+and H (the spectral shift 2i sin(k lam/2) on the nodes lam >= 0) or on
 the grid and dt (the streaming phases exp(-i k v dt)) are built once and
 kept, read-only, in small functools.lru_cache helpers.
 """
@@ -84,41 +84,27 @@ def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _kick_tables(grid: PhaseSpaceGrid, H: float):
-    """The nodes lam >= 0 (rows 0 .. n_v/2 of an rfft over v) and, indexed
-    [lam, k] on the rfft wavenumbers of x, the multiplier 2i sin(k lam/2)
+def _kick_shift(grid: PhaseSpaceGrid, H: float) -> np.ndarray:
+    """Indexed [lam, k], on the nodes lam >= 0 (rows 0 .. n_v/2 of an rfft
+    over v) and the rfft wavenumbers of x, the multiplier 2i sin(k lam/2)
     that maps the transform of phi to phi(x + lam/2) - phi(x - lam/2)."""
     # The Nyquist node -lam_max is taken at +lam_max; the phase difference
     # is odd in lam, so only its sign changes.
     lam = np.abs(lambda_nodes(grid, H)[:grid.n_v // 2 + 1])
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.spatial.n_x, d=grid.spatial.dx)
     shift = 2j * np.sin(0.5 * k[None, :] * lam[:, None])
-    lam.flags.writeable = False
     shift.flags.writeable = False
-    return lam, shift
+    return shift
 
 
 def potential_kick(f: np.ndarray, grid: PhaseSpaceGrid, H: float, dt: float,
-                   phi: np.ndarray | None,
-                   external_potential=None) -> np.ndarray:
-    """Apply the full nonlocal force step for a frozen potential.
-
-    phi is the self-consistent electrostatic potential (particle potential
-    energy -phi); external_potential, if given, is a callable V(x) added to
-    the potential energy and evaluated directly at x +/- lam/2 so it need
-    not be periodic.
-    """
+                   phi: np.ndarray) -> np.ndarray:
+    """Apply the full nonlocal force step for the frozen self-consistent
+    electrostatic potential phi (particle potential energy -phi)."""
     scale = dt / hbar_eff(H)
-    lam, shift = _kick_tables(grid, H)
-    n_x = grid.spatial.n_x
-    # phase[lam, x] = (dt / hbar_eff) [V(x + lam/2) - V(x - lam/2)]
-    phase = np.zeros((lam.size, n_x))
-    if phi is not None:
-        phase -= np.fft.irfft(np.fft.rfft(phi) * scale * shift, n=n_x, axis=1)
-    if external_potential is not None:
-        x = grid.spatial.x
-        phase += scale * (external_potential(x[None, :] + 0.5 * lam[:, None])
-                          - external_potential(x[None, :] - 0.5 * lam[:, None]))
+    # phase[lam, x] = (dt / hbar_eff) [phi(x - lam/2) - phi(x + lam/2)]
+    phase = -np.fft.irfft(np.fft.rfft(phi) * scale * _kick_shift(grid, H),
+                          n=grid.spatial.n_x, axis=1)
     max_phase = float(np.max(np.abs(phase)))
     if max_phase > np.pi:
         warnings.warn(
@@ -135,17 +121,14 @@ def potential_kick(f: np.ndarray, grid: PhaseSpaceGrid, H: float, dt: float,
     return np.fft.irfft(g, n=grid.n_v, axis=0)
 
 
-def step(state: WignerState, dt: float,
-         external_potential=None, self_consistent: bool = True) -> WignerState:
+def step(state: WignerState, dt: float) -> WignerState:
     """One Strang-split step: half stream, field solve, kick, half stream."""
     if state.H <= 0:
         raise ValueError("quantum transport requires H > 0")
     f = advect_x(state.f, state.grid, 0.5 * dt)
-    phi = None
-    if self_consistent:
-        n = np.sum(f, axis=0) * state.grid.dv
-        phi = poisson_periodic(n, state.grid.spatial)
-    f = potential_kick(f, state.grid, state.H, dt, phi, external_potential)
+    phi = poisson_periodic(np.sum(f, axis=0) * state.grid.dv,
+                           state.grid.spatial)
+    f = potential_kick(f, state.grid, state.H, dt, phi)
     f = advect_x(f, state.grid, 0.5 * dt)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("non-finite values in f")

@@ -31,8 +31,8 @@ class TestConfigParsing:
         assert cfg.model == "vlasov"
 
     def test_length_is_an_integer_number_of_wavelengths(self):
-        cfg = parse_config("model = vlasov\nk = 0.5\nperiods = 2\n")
-        assert cfg.length == pytest.approx(8.0 * np.pi)
+        cfg = parse_config("model = vlasov\nk = 0.5\n")
+        assert cfg.length == pytest.approx(4.0 * np.pi)
 
     def test_out_of_range_alpha_reports_its_line(self):
         with pytest.raises(ConfigError) as err:
@@ -50,6 +50,37 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config("model = vlasov\nout_dir = results\n")
         assert err.value.problems == ["line 2: unknown key 'out_dir'"]
+
+    def test_periods_is_an_unknown_key(self):
+        # The box is one wavelength of the seeded mode.
+        with pytest.raises(ConfigError) as err:
+            parse_config("model = vlasov\nk = 0.5\nperiods = 2\n")
+        assert err.value.problems == ["line 3: unknown key 'periods'"]
+
+    def test_vlasov_with_h_is_rejected_on_its_line(self):
+        # The classical model would run, but every header would read H.
+        with pytest.raises(ConfigError) as err:
+            parse_config("model = vlasov\nalpha = 0.1\nh = 1.0\n")
+        assert err.value.problems == [
+            "line 3: h must be 0 for model 'vlasov', which is classical, "
+            "got 1.0"]
+
+    def test_fluid_split_step_resonance_is_rejected_on_the_dt_line(self):
+        # hbar_eff k_max^2 dt / 2 = 0.5 * 128^2 * 0.05 / 2 = 65.2 pi.
+        with pytest.raises(ConfigError) as err:
+            parse_config("model = fluid\nh = 1.0\nn_x = 256\ndt = 0.05\n")
+        [problem] = err.value.problems
+        assert problem.startswith("line 4: dt ")
+        assert "65.2 pi" in problem
+
+    def test_fluid_resonance_is_not_evaluated_on_a_bad_grid(self):
+        # The grid cannot be built; only the key's own problem is reported.
+        cases = {"n_x = 4": "line 3: n_x must be at least 8, got 4",
+                 "k = 0": "line 3: k must be positive, got 0.0"}
+        for line, expected in cases.items():
+            with pytest.raises(ConfigError) as err:
+                parse_config(f"model = fluid\nh = 1.0\n{line}\n")
+            assert err.value.problems == [expected]
 
     def test_all_problems_collected_not_just_the_first(self):
         text = "model = vlasov\nbogus = 3\nn_x = oops\nwhat\n"
@@ -74,7 +105,7 @@ class TestConfigParsing:
         # Every field away from its default, so each key's parser is used.
         cfg = parse_config(
             "model = hartree\nequilibrium = waterbag1d\nt_over_tf = 0.05\n"
-            "alpha = 0.02\nk = 0.5\nh = 0.7\nperiods = 2\nn_x = 64\n"
+            "alpha = 0.02\nk = 0.5\nh = 0.7\nn_x = 64\n"
             "n_v = 128\nv_max = 4.0\ndt = 0.1\nt_end = 2.0\n"
             "output_every = 2\nsnapshot_times = 1.0,1.5\nsave_final = true\n"
             "gamma = 2.0\np0 = 0.5\nn_streams = 6\n")
@@ -337,8 +368,10 @@ class TestCompareCommand:
         assert not out.exists()
 
     def test_mismatched_grids_are_refused(self, tmp_path, capsys):
+        # The finer grid goes on the vlasov side: at n_x = 64 the fluid
+        # side would be rejected for the split-step resonance first.
         a, b = self.write_pair(tmp_path)
-        b.write_text(b.read_text().replace("n_x = 32", "n_x = 64"))
+        a.write_text(a.read_text().replace("n_x = 32", "n_x = 64"))
         rc = cli.main(["compare", str(a), str(b), "--out", str(tmp_path)])
         assert rc == 2
         assert "n_x" in capsys.readouterr().err

@@ -192,6 +192,23 @@ class TestClosedFormReferences:
         got = eps_wigner(k, side * (k + a), projected_fd_zero_t(), H)
         assert abs(got - want) < 1e-11
 
+    @pytest.mark.parametrize("evaluate, edge", [
+        (lambda: eps_vlasov(0.5, 0.5, projected_fd_zero_t()), "1.0"),
+        (lambda: eps_wigner(1.0, 1.25, waterbag_1d(), 1.0), "1.0"),
+        (lambda: eps_wigner(1.0, -0.75, waterbag_1d(), 1.0), "-1.0")],
+        ids=["vlasov-t0-upper", "wigner-waterbag-upper",
+             "wigner-waterbag-lower"])
+    def test_pole_on_a_support_edge_where_g_is_not_zero_is_named(
+            self, evaluate, edge):
+        # A real pole on the edge of the support of a g that does not
+        # vanish there: the integral diverges like log|v0 - edge|.
+        # (df0 = -3/2 at v = 1 on T0; f0 = 1/2 at v = +-1 on the water bag,
+        # with H = 1 shifting the pole by a = 1/4.)
+        with pytest.raises(ZeroDivisionError,
+                           match=rf"support edge v = {edge}, .* diverges "
+                                 "logarithmically"):
+            evaluate()
+
 
 class TestFiniteTemperaturePinnedValues:
     """eps_wigner on fd3d_projected (T/T_F = 0.01) on the real axis at
