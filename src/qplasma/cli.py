@@ -131,7 +131,9 @@ def cmd_compare(args) -> int:
     if cfgs is None:
         return 2
     cfg_a, cfg_b = cfgs
-    grid_keys = ("k", "n_x", "n_v", "v_max", "dt", "t_end", "output_every")
+    grid_keys = ("k", "n_x", "dt", "t_end", "output_every")
+    if {cfg_a.model, cfg_b.model} <= {"vlasov", "wigner"}:
+        grid_keys += ("n_v", "v_max")  # the wavefunction models have no v grid
     mismatched = [k for k in grid_keys
                   if getattr(cfg_a, k) != getattr(cfg_b, k)]
     if mismatched:

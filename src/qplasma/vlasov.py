@@ -21,8 +21,15 @@ a 2D interpolation:
 * Acceleration moves column i by a(x_i) dt / dv cells in v.  Only the v
   direction needs spline coefficients; they are computed with the zero
   padding and boundary rule of scipy.ndimage's "grid-constant" mode (12
-  zero rows, zero coefficients beyond them), and each column is gathered
-  with its own four weights.
+  zero rows, zero coefficients beyond them).  Each column is gathered with
+  its own four weights, one flat np.take per tap in the [i_v, i_x] layout;
+  a tap beyond the stored rows reads a zero, so the cost does not depend
+  on how far or how unevenly the columns move.
+
+advect_v takes the coefficients, the gather index and a product buffer
+from a scratch set cached per grid, so it allocates little beyond the array
+it returns.  It is therefore not reentrant across threads; the library is
+single-threaded.
 
 Each kernel equals the 2D scipy.ndimage.map_coordinates interpolation with
 the same modes to round-off; tests/test_vlasov.py keeps that interpolation
@@ -36,7 +43,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import spline_filter1d
 
 from .equilibria import Equilibrium1D, Perturbation
@@ -100,6 +106,17 @@ def _x_shift_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=4)
+def _scratch(grid: PhaseSpaceGrid):
+    """Work arrays reused by every advect_v call on `grid`: the spline
+    coefficients with one zero row beyond each end, a flat gather index and
+    one product buffer, all of them (rows, n_x)."""
+    n_v, n_x = grid.n_v, grid.spatial.n_x
+    return (np.zeros((n_v + 2 * _PREFILTER_PAD + 2, n_x)),
+            np.empty((n_v, n_x), dtype=np.intp),
+            np.empty((n_v, n_x)))
+
+
 def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     """Free streaming: f(x, v) <- f(x - v dt, v), periodic in x."""
     fhat = np.fft.rfft(f, axis=1)
@@ -112,25 +129,35 @@ def advect_v(f: np.ndarray, grid: PhaseSpaceGrid,
     """Acceleration: f(x, v) <- f(x, v - a(x) dt), zero outside the box."""
     n_v, n_x = f.shape
     pad = _PREFILTER_PAD
+    coeffs, index, prod = _scratch(grid)
     foot = -accel * dt / grid.dv  # row offset of each column's foot
     first = np.floor(foot)
-    weights = _spline_taps(foot - first)[:, :, None]  # (4, n_x, 1)
-    # A foot this far out reads only zeros; clipping keeps the gather in
-    # bounds, and a non-finite acceleration keeps its non-finite weights.
+    weights = _spline_taps(foot - first)  # (4, n_x)
+    # A foot this far out reads only zeros; clipping keeps the index
+    # arithmetic small, and a non-finite acceleration keeps its non-finite
+    # weights.
     first = np.clip(np.nan_to_num(first), -(n_v + pad + 2), n_v + pad + 1)
-    # Coefficients with `margin` zero rows on each side of the velocity box,
-    # so every clipped four-tap window fits.
-    margin = n_v + pad + 3
-    coeffs = np.zeros((n_v + 2 * margin, n_x))
-    box = coeffs[margin - pad:margin + n_v + pad]
-    box[pad:pad + n_v] = f
+    # Velocity row r of the coefficients is stored at row r + pad + 1; rows
+    # 0 and -1 stay zero.
+    coeffs[:pad + 1] = 0.0
+    coeffs[pad + 1:pad + 1 + n_v] = f
+    coeffs[pad + 1 + n_v:] = 0.0
+    box = coeffs[1:-1]
     spline_filter1d(box, axis=0, mode="grid-constant", output=box)
-    windows = sliding_window_view(coeffs, n_v + 3, axis=0)
-    g = windows[margin - 1 + first.astype(np.intp), np.arange(n_x)]  # [i_x, row]
-    out = weights[0] * g[:, :n_v]
+    # Flat index of tap 0 of out[j, i]: velocity row j + first[i] - 1 of
+    # column i.  A tap above row 0 or below row -1 of the coefficients has
+    # an index off the flat array; mode="clip" reads flat[0] or flat[-1]
+    # in its place, both zero.
+    np.add(np.arange(0, n_v * n_x, n_x)[:, None],
+           (first.astype(np.intp) + pad) * n_x + np.arange(n_x), out=index)
+    flat = coeffs.reshape(-1)
+    out = np.take(flat, index, mode="clip", out=np.empty((n_v, n_x)))
+    out *= weights[0]
     for q in range(1, 4):
-        out += weights[q] * g[:, q:q + n_v]
-    return np.ascontiguousarray(out.T)
+        index += n_x
+        out += np.multiply(np.take(flat, index, mode="clip", out=prod),
+                           weights[q], out=prod)
+    return out
 
 
 def step(state: VlasovState, dt: float) -> VlasovState:

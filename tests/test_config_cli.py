@@ -376,6 +376,24 @@ class TestCompareCommand:
         assert rc == 2
         assert "n_x" in capsys.readouterr().err
 
+    def test_velocity_grid_of_wavefunction_models_is_not_compared(
+            self, tmp_path, capsys):
+        a, b = self.write_pair(tmp_path)
+        a.write_text(b.read_text().replace("model = fluid", "model = hartree")
+                     .replace("t_end = 2.0", "t_end = 0.2"))
+        b.write_text(b.read_text().replace("n_v = 64", "n_v = 32")
+                     .replace("t_end = 2.0", "t_end = 0.2"))
+        rc = cli.main(["compare", str(a), str(b), "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+
+    def test_mismatched_velocity_grids_are_refused(self, tmp_path, capsys):
+        a, b = self.write_pair(tmp_path)
+        b.write_text(a.read_text().replace("model = vlasov", "model = wigner")
+                     .replace("n_v = 64", "n_v = 32") + "h = 1.0\n")
+        rc = cli.main(["compare", str(a), str(b), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "['n_v']" in capsys.readouterr().err
+
 
 class TestImportFootprint:
     @staticmethod
