@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate
-from .config import EQUILIBRIA, ConfigError, parse_config
+from .config import COMMON_KEYS, EQUILIBRIA, MODELS, ConfigError, parse_config
 from .dispersion import (QUANTUM_FLUID, VLASOV_KINETIC, WIGNER_KINETIC,
                          DielectricModel, k_scan)
 from .equilibria import make_equilibrium
@@ -90,10 +90,11 @@ def cmd_dispersion(args) -> int:
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    lines = ["k,re_omega,im_omega,residual"]
+    lines = ["k,re_omega,im_omega,residual,trusted"]
     for r in roots:
         lines.append(f"{float(r.k)!r},{float(r.omega.real)!r},"
-                     f"{float(r.omega.imag)!r},{float(r.residual)!r}")
+                     f"{float(r.omega.imag)!r},{float(r.residual)!r},"
+                     f"{str(r.continuation_trusted).lower()}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -131,11 +132,10 @@ def cmd_compare(args) -> int:
     if cfgs is None:
         return 2
     cfg_a, cfg_b = cfgs
-    grid_keys = ("k", "n_x", "dt", "t_end", "output_every")
-    if {cfg_a.model, cfg_b.model} <= {"vlasov", "wigner"}:
-        grid_keys += ("n_v", "v_max")  # the wavefunction models have no v grid
-    mismatched = [k for k in grid_keys
-                  if getattr(cfg_a, k) != getattr(cfg_b, k)]
+    # The discretization keys both models read (only phase space has n_v).
+    shared = set(MODELS[cfg_a.model]) & set(MODELS[cfg_b.model]) | set(COMMON_KEYS)
+    mismatched = [k for k in ("k", "n_x", "dt", "t_end", "output_every", "n_v", "v_max")
+                  if k in shared and getattr(cfg_a, k) != getattr(cfg_b, k)]
     if mismatched:
         print(f"error: configs differ in grid/time keys {mismatched}; "
               "compare requires matching discretization", file=sys.stderr)

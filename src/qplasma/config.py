@@ -13,11 +13,20 @@ import hashlib
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 
+from .equilibria import PROJECTED_FD, PROJECTED_FD_T0, WATERBAG
 from .fields import SpatialGrid
 from .qfluid import check_splitstep_resonance
 
-MODELS = ("vlasov", "wigner", "hartree", "fluid")
-EQUILIBRIA = ("waterbag1d", "fd3d_projected_T0", "fd3d_projected")
+# The keys every model reads, and (MODELS) the keys each model reads beyond
+# them.  A config sets no other key, so its text and hash hold exactly what
+# its model runs; the keys it cannot set stay at their defaults.
+COMMON_KEYS = ("model", "alpha", "k", "n_x", "dt", "t_end", "output_every",
+               "snapshot_times", "save_final")
+MODELS = {"vlasov": ("equilibrium", "t_over_tf", "n_v", "v_max"),
+          "wigner": ("equilibrium", "t_over_tf", "n_v", "v_max", "h"),
+          "hartree": ("t_over_tf", "h", "n_streams"),
+          "fluid": ("h", "gamma", "p0")}
+EQUILIBRIA = (WATERBAG, PROJECTED_FD_T0, PROJECTED_FD)
 # Relative slack for times that are whole numbers of steps up to round-off,
 # such as 3 * 0.05 = 0.15000000000000002.
 STEP_GRID_RTOL = 1e-9
@@ -56,17 +65,18 @@ class ScenarioConfig:
         return 2.0 * 3.141592653589793 / self.k
 
     def to_text(self) -> str:
-        """Canonical serialization; parse_config(to_text()) round-trips."""
+        """Canonical text of the model's keys; parse_config round-trips it."""
+        keys = COMMON_KEYS + MODELS[self.model]
         lines = []
-        for f in dataclass_fields(self):
-            v = getattr(self, f.name)
-            if f.name == "snapshot_times":
+        for name in [f.name for f in dataclass_fields(self) if f.name in keys]:
+            v = getattr(self, name)
+            if name == "snapshot_times":
                 v = ",".join(repr(float(t)) for t in v)
             elif isinstance(v, bool):
                 v = "true" if v else "false"
             elif isinstance(v, float):
                 v = repr(v)
-            lines.append(f"{f.name} = {v}")
+            lines.append(f"{name} = {v}")
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -107,26 +117,24 @@ def _on_step_grid(t: float, dt: float) -> bool:
 def validate(cfg: ScenarioConfig):
     """All range/consistency violations as a list of messages."""
     problems = []
+    keys = MODELS.get(cfg.model, ())
 
     def check(ok, msg):
         if not ok:
             problems.append(msg)
 
-    check(cfg.model in MODELS, f"model must be one of {MODELS}, got {cfg.model!r}")
-    if cfg.model in ("vlasov", "wigner"):
-        check(cfg.equilibrium in EQUILIBRIA,
-              f"equilibrium must be one of {EQUILIBRIA}, got {cfg.equilibrium!r}")
-        if cfg.equilibrium == "fd3d_projected":
-            check(0.0 < cfg.t_over_tf <= 1.0,
-                  f"t_over_tf must be in (0, 1] for equilibrium "
-                  f"'fd3d_projected', got {cfg.t_over_tf}")
+    check(cfg.model in MODELS,
+          f"model must be one of {tuple(MODELS)}, got {cfg.model!r}")
+    check(cfg.equilibrium in EQUILIBRIA,
+          f"equilibrium must be one of {EQUILIBRIA}, got {cfg.equilibrium!r}")
+    if "equilibrium" in keys and cfg.equilibrium == PROJECTED_FD:
+        check(0.0 < cfg.t_over_tf <= 1.0,
+              f"t_over_tf must be in (0, 1] for equilibrium "
+              f"'fd3d_projected', got {cfg.t_over_tf}")
     check(0.0 <= cfg.alpha <= 1.0, f"alpha must be in [0, 1], got {cfg.alpha}")
     check(cfg.k > 0, f"k must be positive, got {cfg.k}")
     check(cfg.h >= 0, f"h must be nonnegative, got {cfg.h}")
-    if cfg.model == "vlasov":
-        check(cfg.h <= 0, f"h must be 0 for model 'vlasov', which is "
-                          f"classical, got {cfg.h}")
-    if cfg.model in ("wigner", "hartree", "fluid"):
+    if "h" in keys:
         check(cfg.h > 0, f"model {cfg.model!r} requires h > 0")
     check(cfg.t_over_tf >= 0, f"t_over_tf must be nonnegative, got {cfg.t_over_tf}")
     check(cfg.n_x >= 8, f"n_x must be at least 8, got {cfg.n_x}")
@@ -150,19 +158,17 @@ def validate(cfg: ScenarioConfig):
             check(t <= cfg.t_end * (1.0 + STEP_GRID_RTOL),
                   f"snapshot_times must not be after t_end={cfg.t_end}, "
                   f"got {t}")
-    if cfg.model == "fluid":
-        check(cfg.gamma >= 1.0, f"gamma must be at least 1, got {cfg.gamma}")
-        check(cfg.p0 > 0, f"p0 must be positive, got {cfg.p0}")
-        if cfg.n_x >= 8 and cfg.k > 0 and cfg.h > 0 and cfg.dt > 0:
-            phase = check_splitstep_resonance(SpatialGrid(cfg.length, cfg.n_x),
-                                              cfg.h, cfg.dt)
-            check(phase < 1.0,
-                  f"dt must keep the kinetic phase per step at the grid "
-                  f"cutoff below pi (split-step resonance), got "
-                  f"{phase:.3g} pi at dt={cfg.dt}")
-    if cfg.model == "hartree":
-        check(cfg.n_streams >= 1,
-              f"n_streams must be at least 1, got {cfg.n_streams}")
+    check(cfg.gamma >= 1.0, f"gamma must be at least 1, got {cfg.gamma}")
+    check(cfg.p0 > 0, f"p0 must be positive, got {cfg.p0}")
+    check(cfg.n_streams >= 1,
+          f"n_streams must be at least 1, got {cfg.n_streams}")
+    if cfg.model == "fluid" and cfg.n_x >= 8 and cfg.k > 0 and cfg.h > 0 and cfg.dt > 0:
+        phase = check_splitstep_resonance(SpatialGrid(cfg.length, cfg.n_x),
+                                          cfg.h, cfg.dt)
+        check(phase < 1.0,
+              f"dt must keep the kinetic phase per step at the grid "
+              f"cutoff below pi (split-step resonance), got "
+              f"{phase:.3g} pi at dt={cfg.dt}")
     return problems
 
 
@@ -172,7 +178,7 @@ def parse_config(text: str, overrides=None) -> ScenarioConfig:
     iterable of extra "key=value" lines applied after the text."""
     problems = []
     values = {}
-    sources = {}
+    assigned = []  # (source, key) of every entry that parsed
     entries = [(f"line {lineno}", raw)
                for lineno, raw in enumerate(text.splitlines(), start=1)]
     entries += [("override", item) for item in overrides or ()]
@@ -193,8 +199,13 @@ def parse_config(text: str, overrides=None) -> ScenarioConfig:
         except ValueError:
             problems.append(f"{source}: bad value for {key!r}: {val!r}")
             continue
-        sources[key] = source
-    if "model" not in values and not problems:
+        assigned.append((source, key))
+    sources = {key: source for source, key in assigned}
+    model = values.get("model")
+    problems += [f"{source}: model {model!r} has no key {key!r}"
+                 for source, key in assigned
+                 if model in MODELS and key not in COMMON_KEYS + MODELS[model]]
+    if model is None and not problems:
         problems.append("missing required key 'model'")
     if problems:
         raise ConfigError(problems)

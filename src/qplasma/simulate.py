@@ -23,7 +23,6 @@ class RunResult:
     series: diagio.DiagnosticSeries
     final_state: object
     snapshots: dict  # time -> state copy
-    metadata: dict
 
 
 def stream_lattice_spec(cfg: ScenarioConfig, grid: SpatialGrid) -> StreamSpec:
@@ -99,8 +98,6 @@ def run(cfg: ScenarioConfig) -> RunResult:
     n_steps = int(round(cfg.t_end / cfg.dt))
     snap_steps = {int(round(t / cfg.dt)): t for t in cfg.snapshot_times}
     snapshots = {}
-    metadata = {"initial_data": ("perturbed_equilibrium" if model.array == "f"
-                                 else "wavefunction")}
 
     for i in range(n_steps + 1):
         if i > 0:
@@ -113,7 +110,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
             recorder.record(i * cfg.dt, *vals)
         if i in snap_steps:
             snapshots[snap_steps[i]] = getattr(state, model.array).copy()
-    return RunResult(recorder.series(), state, snapshots, metadata)
+    return RunResult(recorder.series(), state, snapshots)
 
 
 def write_outputs(cfg: ScenarioConfig, result: RunResult, out_dir) -> list:
@@ -134,7 +131,8 @@ def write_outputs(cfg: ScenarioConfig, result: RunResult, out_dir) -> list:
     state = result.final_state
     writer = (diagio.write_snapshot if model.array == "f"
               else diagio.write_wavefunction_snapshot)
-    options = dict(H=cfg.h, config_hash=h, extra_header=dict(result.metadata),
+    initial = "perturbed_equilibrium" if model.array == "f" else "wavefunction"
+    options = dict(H=cfg.h, config_hash=h, extra_header={"initial_data": initial},
                    **model.snapshot(state))
 
     def write_state(tag, payload, time):

@@ -3,6 +3,7 @@ validation with collected errors, canonical round-trips, deterministic
 run outputs and the comparison guard."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 
 from qplasma import cli
-from qplasma.config import ConfigError, ScenarioConfig, parse_config
+from qplasma.config import (COMMON_KEYS, MODELS, ConfigError, ScenarioConfig,
+                            parse_config)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfigParsing:
@@ -61,9 +65,31 @@ class TestConfigParsing:
         # The classical model would run, but every header would read H.
         with pytest.raises(ConfigError) as err:
             parse_config("model = vlasov\nalpha = 0.1\nh = 1.0\n")
-        assert err.value.problems == [
-            "line 3: h must be 0 for model 'vlasov', which is classical, "
-            "got 1.0"]
+        assert err.value.problems == ["line 3: model 'vlasov' has no key 'h'"]
+
+    @pytest.mark.parametrize("model,key", [
+        (model, f.name) for model in MODELS for f in fields(ScenarioConfig)
+        if f.name not in COMMON_KEYS + MODELS[model]])
+    def test_a_key_the_model_does_not_read_is_rejected(self, model, key):
+        text = f"model = {model}\nn_x = 32\ndt = 0.02\n" + (
+            "h = 1.0\n" if "h" in MODELS[model] else "")
+        setting = f"{key} = {getattr(ScenarioConfig(model), key)}"
+        n_lines = len(text.splitlines())
+        expected = f"model {model!r} has no key {key!r}"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + setting + "\n")
+        assert err.value.problems == [f"line {n_lines + 1}: {expected}"]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, overrides=[setting])
+        assert err.value.problems == [f"override: {expected}"]
+
+    def test_unread_keys_of_a_run_do_not_split_its_hash(self):
+        # A key hartree never reads can neither be set nor enter its hash.
+        text = "model = hartree\nh = 1.0\nn_x = 32\nt_end = 0.2\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "n_v = 64\n")
+        assert err.value.problems == ["line 5: model 'hartree' has no key 'n_v'"]
+        assert "n_v" not in parse_config(text).to_text()
 
     def test_fluid_split_step_resonance_is_rejected_on_the_dt_line(self):
         # hbar_eff k_max^2 dt / 2 = 0.5 * 128^2 * 0.05 / 2 = 65.2 pi.
@@ -102,19 +128,41 @@ class TestConfigParsing:
                            "snapshot_times = 1.0,2.5\nsave_final = true\n")
         again = parse_config(cfg.to_text())
         assert again == cfg
-        # Every field away from its default, so each key's parser is used.
-        cfg = parse_config(
-            "model = hartree\nequilibrium = waterbag1d\nt_over_tf = 0.05\n"
-            "alpha = 0.02\nk = 0.5\nh = 0.7\nn_x = 64\n"
-            "n_v = 128\nv_max = 4.0\ndt = 0.1\nt_end = 2.0\n"
-            "output_every = 2\nsnapshot_times = 1.0,1.5\nsave_final = true\n"
-            "gamma = 2.0\np0 = 0.5\nn_streams = 6\n")
-        defaults = ScenarioConfig(model="vlasov")
-        for f in fields(ScenarioConfig):
-            value = getattr(cfg, f.name)
-            assert value != getattr(defaults, f.name), f.name
-            assert type(value) is type(getattr(defaults, f.name)), f.name
+
+    # Each model with every key it reads away from its default, so each
+    # key's parser is used.  dt keeps the fluid clear of the resonance.
+    OFF_DEFAULT = {"equilibrium": "waterbag1d", "t_over_tf": "0.05",
+                   "alpha": "0.02", "k": "0.5", "h": "0.7", "n_x": "64",
+                   "n_v": "128", "v_max": "4.0", "dt": "0.02", "t_end": "2.0",
+                   "output_every": "2", "snapshot_times": "1.0,1.5",
+                   "save_final": "true", "gamma": "2.0", "p0": "0.5",
+                   "n_streams": "6"}
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_round_trip_with_every_key_off_its_default(self, model):
+        keys = COMMON_KEYS[1:] + MODELS[model]
+        cfg = parse_config(f"model = {model}\n" + "".join(
+            f"{key} = {self.OFF_DEFAULT[key]}\n" for key in keys))
+        defaults = ScenarioConfig(model=model)
+        for key in keys:
+            value = getattr(cfg, key)
+            assert value != getattr(defaults, key), key
+            assert type(value) is type(getattr(defaults, key)), key
+        text = cfg.to_text()
+        assert sorted(line.split(" = ")[0] for line in text.splitlines()) \
+            == sorted(("model",) + keys)
+        assert parse_config(text) == cfg
+
+    def test_readme_example_config_parses_and_lists_each_models_keys(self):
+        text = README.read_text()
+        [example] = [block for block in re.findall(r"^```\w*\n(.*?)^```$",
+                                                   text, re.M | re.S)
+                     if block.startswith("model = ")]
+        cfg = parse_config(example)
         assert parse_config(cfg.to_text()) == cfg
+        for model, keys in MODELS.items():
+            listed = re.search(rf"^- `{model}`: (.*)$", text, re.M).group(1)
+            assert listed == ", ".join(f"`{key}`" for key in keys), model
 
     def test_times_off_the_step_grid_are_rejected(self):
         # Each of these ran to another time than its label said.
@@ -209,13 +257,30 @@ class TestDispersionCommand:
                        "--nk", "12", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "k,re_omega,im_omega,residual"
+        assert lines[0] == "k,re_omega,im_omega,residual,trusted"
         assert len(lines) == 13
         for line in lines[1:]:
-            k, re, im, res = (float(v) for v in line.split(","))
+            *values, trusted = line.split(",")
+            k, re, im, res = (float(v) for v in values)
             assert abs(re**2 - (1.0 + k**2)) < 1e-8
             assert abs(im) < 1e-10
             assert res < 1e-10
+            assert trusted == "true"
+
+    def test_roots_beyond_the_trusted_continuation_are_marked(self, capsys):
+        # At T = T_F the damping passes half the frequency between K = 1.7
+        # and K = 2.0.
+        rc = cli.main(["dispersion", "--model", "vlasov", "--equilibrium",
+                       "fd3d_projected", "--t-over-tf", "1", "--kmin", "1.7",
+                       "--kmax", "2.0", "--nk", "2"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[-1] for line in lines] == [
+            "trusted", "true", "false"]
+        for line in lines[1:]:
+            re_omega, im_omega = (float(v) for v in line.split(",")[1:3])
+            assert (abs(im_omega) <= 0.5 * abs(re_omega)) \
+                == line.endswith(",true")
 
     def test_multistream_scan_is_refused(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -337,8 +402,11 @@ class TestCompareCommand:
         a = tmp_path / "a.cfg"
         b = tmp_path / "b.cfg"
         a.write_text(base)
-        b.write_text(base.replace("model = vlasov", "model = fluid")
-                     + "h = 1.0\n")
+        fluid = [line for line in base.splitlines()
+                 if line.split(" = ")[0] not in ("equilibrium", "t_over_tf",
+                                                 "n_v")]
+        b.write_text("\n".join(fluid).replace("model = vlasov", "model = fluid")
+                     + "\nh = 1.0\n")
         return a, b
 
     def test_joined_series_with_both_hashes(self, tmp_path, capsys):
@@ -358,13 +426,13 @@ class TestCompareCommand:
 
     def test_invalid_config_fails_with_messages(self, tmp_path, capsys):
         a, b = self.write_pair(tmp_path)
-        b.write_text(b.read_text() + "n_v = 7\n")
+        b.write_text(b.read_text() + "gamma = 0.5\n")
         out = tmp_path / "cmp"
         rc = cli.main(["compare", str(a), str(b), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["config error: line 12: n_v must be even and at "
-                       "least 8, got 7"]
+        assert err == ["config error: line 9: gamma must be at least 1, "
+                       "got 0.5"]
         assert not out.exists()
 
     def test_mismatched_grids_are_refused(self, tmp_path, capsys):
@@ -378,10 +446,12 @@ class TestCompareCommand:
 
     def test_velocity_grid_of_wavefunction_models_is_not_compared(
             self, tmp_path, capsys):
+        # The vlasov side's n_v = 64 is off the default, which the hartree
+        # side, having no velocity grid, keeps.
         a, b = self.write_pair(tmp_path)
-        a.write_text(b.read_text().replace("model = fluid", "model = hartree")
-                     .replace("t_end = 2.0", "t_end = 0.2"))
-        b.write_text(b.read_text().replace("n_v = 64", "n_v = 32")
+        assert parse_config(a.read_text()).n_v != ScenarioConfig("hartree").n_v
+        a.write_text(a.read_text().replace("t_end = 2.0", "t_end = 0.2"))
+        b.write_text(b.read_text().replace("model = fluid", "model = hartree")
                      .replace("t_end = 2.0", "t_end = 0.2"))
         rc = cli.main(["compare", str(a), str(b), "--out", str(tmp_path)])
         assert rc == 0, capsys.readouterr().err

@@ -1,13 +1,15 @@
 """The scenario driver for every model: run-time lookup of the solver's
 step function and exact read-back of every file write_outputs produces."""
 
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qplasma import diagio, hartree, qfluid, simulate, vlasov, wigner
-from qplasma.config import MODELS, ConfigError, ScenarioConfig, parse_config
+from qplasma.config import (COMMON_KEYS, MODELS, ConfigError, ScenarioConfig,
+                            parse_config)
 from qplasma.fields import SpatialGrid
 
 N_STEPS = 10
@@ -52,6 +54,32 @@ def test_every_configurable_model_is_covered():
 
 def test_model_table_matches_the_config_names():
     assert sorted(simulate.MODELS) == sorted(MODELS)
+
+
+# A valid value for each key some model does not read, off every default.
+UNREAD_VALUES = {"equilibrium": "waterbag1d", "t_over_tf": 0.05, "h": 0.7,
+                 "n_v": 128, "v_max": 4.0, "gamma": 2.0, "p0": 0.5,
+                 "n_streams": 6}
+
+
+@pytest.mark.parametrize("model", sorted(CONFIGS))
+def test_keys_the_model_does_not_read_leave_the_run_unchanged(model):
+    # The table in config.MODELS is what the model runs: changing any other
+    # field changes no bit of the series or the final state.
+    cfg = replace(CONFIGS[model], t_end=4 * CONFIGS[model].dt,
+                  snapshot_times=())
+    unread = [f.name for f in fields(ScenarioConfig)
+              if f.name not in COMMON_KEYS + MODELS[model]]
+    assert sorted(unread) == sorted(set(UNREAD_VALUES) - set(MODELS[model]))
+    base = simulate.run(cfg)
+    for key in unread:
+        assert getattr(cfg, key) != UNREAD_VALUES[key], key
+        other = simulate.run(replace(cfg, **{key: UNREAD_VALUES[key]}))
+        for col in SERIES_COLUMNS:
+            assert np.array_equal(getattr(other.series, col),
+                                  getattr(base.series, col)), (key, col)
+        assert np.array_equal(state_array(other.final_state),
+                              state_array(base.final_state)), key
 
 
 def test_fluid_snapshots_hold_one_stream_without_probabilities(tmp_path):
