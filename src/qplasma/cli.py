@@ -16,6 +16,7 @@ import numpy as np
 
 from . import simulate
 from .config import COMMON_KEYS, EQUILIBRIA, MODELS, ConfigError, parse_config
+from .diagio import format_table
 from .dispersion import (QUANTUM_FLUID, VLASOV_KINETIC, WIGNER_KINETIC,
                          DielectricModel, k_scan)
 from .equilibria import make_equilibrium
@@ -90,12 +91,10 @@ def cmd_dispersion(args) -> int:
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    lines = ["k,re_omega,im_omega,residual,trusted"]
-    for r in roots:
-        lines.append(f"{float(r.k)!r},{float(r.omega.real)!r},"
-                     f"{float(r.omega.imag)!r},{float(r.residual)!r},"
-                     f"{str(r.continuation_trusted).lower()}")
-    text = "\n".join(lines) + "\n"
+    text = format_table(
+        ("k", "re_omega", "im_omega", "residual", "trusted"),
+        [(r.k, r.omega.real, r.omega.imag, r.residual, r.continuation_trusted)
+         for r in roots])
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -145,14 +144,13 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / (f"compare_{cfg_a.model}_{cfg_a.config_hash()}_"
                   f"{cfg_b.model}_{cfg_b.config_hash()}.csv")
-    lines = [f"# config_hash_a={cfg_a.config_hash()} "
-             f"config_hash_b={cfg_b.config_hash()}",
-             "t,field_energy_a,field_energy_b,total_energy_a,total_energy_b"]
-    for i in range(sa.times.size):
-        row = (sa.times[i], sa.field_energy[i], sb.field_energy[i],
-               sa.total_energy[i], sb.total_energy[i])
-        lines.append(",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(format_table(
+        ("t", "field_energy_a", "field_energy_b", "total_energy_a",
+         "total_energy_b"),
+        zip(sa.times, sa.field_energy, sb.field_energy, sa.total_energy,
+            sb.total_energy),
+        f"config_hash_a={cfg_a.config_hash()} "
+        f"config_hash_b={cfg_b.config_hash()}"))
     print(path)
     return 0
 

@@ -13,13 +13,15 @@ import hashlib
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 
-from .equilibria import PROJECTED_FD, PROJECTED_FD_T0, WATERBAG
+from .equilibria import (PROJECTED_FD, PROJECTED_FD_T0, WATERBAG,
+                         stream_lattice_spec)
 from .fields import SpatialGrid
 from .qfluid import check_splitstep_resonance
 
 # The keys every model reads, and (MODELS) the keys each model reads beyond
-# them.  A config sets no other key, so its text and hash hold exactly what
-# its model runs; the keys it cannot set stay at their defaults.
+# them; of the equilibria only PROJECTED_FD reads t_over_tf (read_keys).  A
+# config sets no other key, so its text and hash hold exactly what its model
+# runs; the keys it cannot set stay at their defaults.
 COMMON_KEYS = ("model", "alpha", "k", "n_x", "dt", "t_end", "output_every",
                "snapshot_times", "save_final")
 MODELS = {"vlasov": ("equilibrium", "t_over_tf", "n_v", "v_max"),
@@ -65,8 +67,9 @@ class ScenarioConfig:
         return 2.0 * 3.141592653589793 / self.k
 
     def to_text(self) -> str:
-        """Canonical text of the model's keys; parse_config round-trips it."""
-        keys = COMMON_KEYS + MODELS[self.model]
+        """Canonical text of the keys the run reads; parse_config
+        round-trips it."""
+        keys = read_keys(self.model, self.equilibrium)
         lines = []
         for name in [f.name for f in dataclass_fields(self) if f.name in keys]:
             v = getattr(self, name)
@@ -81,6 +84,14 @@ class ScenarioConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+
+
+def read_keys(model: str, equilibrium: str) -> tuple:
+    """The keys a run of `model` on `equilibrium` reads."""
+    keys = COMMON_KEYS + MODELS[model]
+    if "equilibrium" in keys and equilibrium in (WATERBAG, PROJECTED_FD_T0):
+        keys = tuple(key for key in keys if key != "t_over_tf")
+    return keys
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -162,6 +173,14 @@ def validate(cfg: ScenarioConfig):
     check(cfg.p0 > 0, f"p0 must be positive, got {cfg.p0}")
     check(cfg.n_streams >= 1,
           f"n_streams must be at least 1, got {cfg.n_streams}")
+    if ("n_streams" in keys and cfg.h > 0 and cfg.k > 0
+            and cfg.n_streams >= 1 and cfg.t_over_tf >= 0):
+        try:
+            stream_lattice_spec(cfg.n_streams, cfg.t_over_tf, cfg.h, cfg.length)
+        except ValueError:
+            problems.append(f"h must leave a stream below the Fermi energy, got "
+                            f"{cfg.h}: the stream spacing pi h / L = "
+                            f"{math.pi * cfg.h / cfg.length:.3g} exceeds v_F")
     if cfg.model == "fluid" and cfg.n_x >= 8 and cfg.k > 0 and cfg.h > 0 and cfg.dt > 0:
         phase = check_splitstep_resonance(SpatialGrid(cfg.length, cfg.n_x),
                                           cfg.h, cfg.dt)
@@ -202,9 +221,13 @@ def parse_config(text: str, overrides=None) -> ScenarioConfig:
         assigned.append((source, key))
     sources = {key: source for source, key in assigned}
     model = values.get("model")
-    problems += [f"{source}: model {model!r} has no key {key!r}"
-                 for source, key in assigned
-                 if model in MODELS and key not in COMMON_KEYS + MODELS[model]]
+    if model in MODELS:
+        eq = values.get("equilibrium", ScenarioConfig.equilibrium)
+        problems += [f"{source}: model {model!r} has no key {key!r}"
+                     if key not in COMMON_KEYS + MODELS[model] else
+                     f"{source}: equilibrium {eq!r} has no key {key!r}"
+                     for source, key in assigned
+                     if key not in read_keys(model, eq)]
     if model is None and not problems:
         problems.append("missing required key 'model'")
     if problems:

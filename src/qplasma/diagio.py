@@ -1,11 +1,12 @@
 """Run diagnostics (energy series, damping-rate fits, vortex detection)
-and the bit-stable on-disk formats for series and phase-space snapshots.
+and the bit-stable on-disk formats: CSV tables and model-state snapshots.
 
-Series files are CSV, read back by the column names of their header row:
-t,field_energy,kinetic_energy,total_energy,mass,momentum (plus the same
-field energy rescaled per Fermi energy as a trailing column).  Snapshots
-are a small binary container: magic ``QPSN``, a little-endian u32 version,
-a length-prefixed UTF-8 JSON header and a row-major float64 payload.
+Series files are CSV tables (`format_table`), read back by the column
+names of their header row: t,field_energy,kinetic_energy,total_energy,
+mass,momentum (plus the same field energy rescaled per Fermi energy as a
+trailing column).  Snapshots are a small binary container: magic ``QPSN``,
+a little-endian u32 version, a length-prefixed UTF-8 JSON header and a
+row-major float64 payload.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import label
 
 from .fields import PhaseSpaceGrid
+from .qfluid import FluidState
+from .vlasov import VlasovState
+from .wigner import WignerState
 
 SNAPSHOT_MAGIC = b"QPSN"
 SNAPSHOT_VERSION = 1
@@ -69,16 +74,24 @@ class SeriesRecorder:
                                 model=self.model, config_hash=self.config_hash)
 
 
+def format_table(columns, rows, comment: str | None = None) -> str:
+    """CSV text of `rows` under the header `columns`, after a ``# comment``
+    line when one is given; floats are written exactly (repr) and booleans
+    as true/false."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(columns))
+    lines += [",".join(str(v).lower() if isinstance(v, (bool, np.bool_))
+                       else repr(float(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_series_csv(series: DiagnosticSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# model={series.model} config_hash={series.config_hash}\n")
-        fh.write(",".join(SERIES_COLUMNS) + ",field_energy_per_ef\n")
-        for i in range(series.times.size):
-            row = (series.times[i], series.field_energy[i],
-                   series.kinetic_energy[i], series.total_energy[i],
-                   series.mass[i], series.momentum[i],
-                   FIELD_ENERGY_PER_EF * series.field_energy[i])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    columns = (series.times, series.field_energy, series.kinetic_energy,
+               series.total_energy, series.mass, series.momentum,
+               FIELD_ENERGY_PER_EF * series.field_energy)
+    Path(path).write_text(format_table(
+        SERIES_COLUMNS + ("field_energy_per_ef",), zip(*columns),
+        f"model={series.model} config_hash={series.config_hash}"))
 
 
 def read_series_csv(path) -> DiagnosticSeries:
@@ -117,21 +130,33 @@ def read_series_csv(path) -> DiagnosticSeries:
                             model=model, config_hash=config_hash)
 
 
-def _write_container(path, channels: dict, header: dict, time: float,
-                     model: str, H: float, config_hash: str,
-                     extra_header: dict | None) -> None:
-    """Write magic, version, header length, the JSON header (completed with
-    the time, model, H, config hash, channel names, shape and payload
-    checksum) and the channels as one row-major float64 payload."""
-    first = next(iter(channels.values()))
+def write_snapshot(path, state, time: float, model: str,
+                   config_hash: str) -> None:
+    """Serialize a model state with its time, model name, H and config hash:
+    a classical f as channel f, a Wigner f as f_plus = max(f, 0) and
+    f_minus = max(-f, 0), a stream set's (N, n_x) psi as psi_re and psi_im,
+    plus the occupation probabilities of a Hartree mixture (the fluid's one
+    stream has weight 1)."""
+    if isinstance(state, VlasovState):
+        f, grid = state.f, state.grid
+        channels = ({"f_plus": np.maximum(f, 0.0), "f_minus": np.maximum(-f, 0.0)}
+                    if isinstance(state, WignerState) else {"f": f})
+        header = {"grid": {"length": grid.spatial.length, "n_x": grid.spatial.n_x,
+                           "v_max": grid.v_max, "n_v": grid.n_v},
+                  "initial_data": "perturbed_equilibrium"}
+    else:
+        channels = {"psi_re": state.psi.real, "psi_im": state.psi.imag}
+        header = {"grid": {"length": state.grid.length, "n_x": state.grid.n_x},
+                  "initial_data": "wavefunction"}
+        if not isinstance(state, FluidState):
+            header["probabilities"] = [float(p) for p in state.probabilities]
     payload = b"".join(np.ascontiguousarray(c, dtype="<f8").tobytes()
                        for c in channels.values())
-    header = dict(header, time=float(time), model=model, H=float(H),
-                  config_hash=config_hash, channels=list(channels),
-                  shape=list(first.shape),
+    header.update(time=float(time), model=model, config_hash=config_hash,
+                  H=float(getattr(state, "H", 0.0)),  # 0 for a classical f
+                  channels=list(channels),
+                  shape=list(next(iter(channels.values())).shape),
                   payload_crc32=zlib.crc32(payload) & 0xFFFFFFFF)
-    if extra_header:
-        header.update(extra_header)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
@@ -139,38 +164,6 @@ def _write_container(path, channels: dict, header: dict, time: float,
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
         fh.write(payload)
-
-
-def write_snapshot(path, f: np.ndarray, grid: PhaseSpaceGrid, time: float,
-                   model: str, H: float = 0.0, config_hash: str = "",
-                   split_sign_channels: bool = False,
-                   extra_header: dict | None = None) -> None:
-    """Serialize a phase-space field.  With split_sign_channels the positive
-    part max(f, 0) and negative part max(-f, 0) are stored as separate
-    channels (the natural view of a signed quantum distribution)."""
-    f = np.asarray(f, dtype="<f8")
-    if split_sign_channels:
-        channels = {"f_plus": np.maximum(f, 0.0), "f_minus": np.maximum(-f, 0.0)}
-    else:
-        channels = {"f": f}
-    grid_header = {"length": grid.spatial.length, "n_x": grid.spatial.n_x,
-                   "v_max": grid.v_max, "n_v": grid.n_v}
-    _write_container(path, channels, {"grid": grid_header}, time, model, H,
-                     config_hash, extra_header)
-
-
-def write_wavefunction_snapshot(path, psi: np.ndarray, grid, time: float,
-                                model: str, H: float = 0.0,
-                                probabilities=None, config_hash: str = "",
-                                extra_header: dict | None = None) -> None:
-    """Serialize a set of complex wavefunctions (N, n_x) as real/imaginary
-    channel pairs in the same container format."""
-    psi = np.atleast_2d(np.asarray(psi, dtype=complex))
-    header = {"grid": {"length": grid.length, "n_x": grid.n_x}}
-    if probabilities is not None:
-        header["probabilities"] = [float(p) for p in probabilities]
-    _write_container(path, {"psi_re": psi.real, "psi_im": psi.imag}, header,
-                     time, model, H, config_hash, extra_header)
 
 
 def read_snapshot(path):

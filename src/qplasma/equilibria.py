@@ -260,6 +260,17 @@ def fd_stream_occupations(t_over_tf: float, mu: float, velocities) -> StreamSpec
                       raw_occupations=tuple(raw))
 
 
+def stream_lattice_spec(n_streams: int, t_over_tf: float, H: float,
+                        length: float) -> StreamSpec:
+    """Fermi-Dirac occupations (unit Fermi energy) of the symmetric stream
+    velocities j 2 pi hbar_eff / length, j != 0 for an even count; raises
+    ValueError when the spacing leaves every stream unoccupied."""
+    du = 2.0 * np.pi * hbar_eff(H) / length
+    js = [j for j in range(-(n_streams // 2), n_streams // 2 + 1)
+          if j != 0 or n_streams % 2]
+    return fd_stream_occupations(t_over_tf, 1.0, tuple(du * j for j in js))
+
+
 @dataclass
 class StreamSet:
     """N complex wavefunctions on the spatial grid with occupations.

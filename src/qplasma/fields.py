@@ -1,4 +1,5 @@
-"""Periodic grids, the spectral Poisson solve and velocity moments.
+"""Periodic grids, the spectral Poisson solve, the field energy and velocity
+moments.
 
 All solver-facing quantities are in normalized units: x in Fermi screening
 lengths, v in Fermi velocities, t in inverse plasma frequencies, potential
@@ -95,19 +96,23 @@ def poisson_periodic(density: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return np.fft.irfft(phi_hat, n=grid.n_x)
 
 
-def moments(f: np.ndarray, grid: PhaseSpaceGrid):
-    """Density, flux and pressure profiles of f(x, v) by midpoint quadrature.
+def field_energy(density: np.ndarray, grid: SpatialGrid) -> float:
+    """Box-averaged energy 1/2 <E^2> of the field the density drives."""
+    efield = spectral_derivative(poisson_periodic(density, grid), grid)
+    return 0.5 * float(np.mean(efield**2))
 
-    f is indexed [i_v, i_x].  The pressure is the centered second moment,
-    n * (<v^2> - <v>^2) (unit mass).  Density positivity is not assumed:
-    Wigner fields may integrate to locally negative pressure contributions.
+
+def moments(f: np.ndarray, grid: PhaseSpaceGrid):
+    """Density n, flux int f v dv and second moment int f v^2 dv of f(x, v)
+    by midpoint quadrature; f is indexed [i_v, i_x].
+
+    Density positivity is not assumed: Wigner fields may integrate to
+    locally negative contributions.  The pressure (unit mass) is
+    second - flux^2 / n.
     """
     v = grid.v[:, None]
     dv = grid.dv
     n = np.sum(f, axis=0) * dv
     flux = np.sum(f * v, axis=0) * dv
-    m2 = np.sum(f * v**2, axis=0) * dv
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(n != 0.0, flux / np.where(n != 0.0, n, 1.0), 0.0)
-    pressure = m2 - n * u**2
-    return n, flux, pressure
+    second = np.sum(f * v**2, axis=0) * dv
+    return n, flux, second

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .equilibria import Perturbation, StreamSet, hbar_eff
-from .fields import poisson_periodic, spectral_derivative
+from .fields import field_energy, poisson_periodic
 
 
 class MadelungFields(NamedTuple):
@@ -84,16 +84,13 @@ def _wave_diagnostics(streams: StreamSet):
     psi, weights, grid = streams.psi, streams.probabilities, streams.grid
     hb = hbar_eff(streams.H)
     n = np.einsum("a,ax->x", weights, np.abs(psi) ** 2)
-    phi = poisson_periodic(n, grid)
-    efield = spectral_derivative(phi, grid)
-    field_energy = 0.5 * float(np.mean(efield**2))
     k = grid.wavenumbers
     dpsi = np.fft.ifft(1j * k[None, :] * np.fft.fft(psi, axis=1), axis=1)
     kin_per = 0.5 * hb**2 * np.mean(np.abs(dpsi) ** 2, axis=1)
     mom_per = hb * np.mean(np.imag(np.conj(psi) * dpsi), axis=1)
     kinetic = float(np.dot(weights, kin_per))
     momentum = float(np.dot(weights, mom_per))
-    return field_energy, kinetic, float(np.mean(n)), momentum
+    return field_energy(n, grid), kinetic, float(np.mean(n)), momentum
 
 
 # qfluid calls _wave_diagnostics, not this: a profiler that swaps a timed

@@ -4,7 +4,7 @@ collect the diagnostic series and write the output files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, NamedTuple
@@ -13,8 +13,8 @@ import numpy as np
 
 from . import diagio, hartree, qfluid, vlasov, wigner
 from .config import ScenarioConfig
-from .equilibria import (Perturbation, StreamSpec, fd_stream_occupations,
-                         hbar_eff, make_equilibrium, plane_wave_mixture)
+from .equilibria import (Perturbation, make_equilibrium, plane_wave_mixture,
+                         stream_lattice_spec)
 from .fields import PhaseSpaceGrid, SpatialGrid
 
 
@@ -22,20 +22,7 @@ from .fields import PhaseSpaceGrid, SpatialGrid
 class RunResult:
     series: diagio.DiagnosticSeries
     final_state: object
-    snapshots: dict  # time -> state copy
-
-
-def stream_lattice_spec(cfg: ScenarioConfig, grid: SpatialGrid) -> StreamSpec:
-    """Symmetric box-commensurate stream velocities with thermal-style
-    occupations relative to the unit Fermi energy."""
-    du = 2.0 * np.pi * hbar_eff(cfg.h) / grid.length
-    n = cfg.n_streams
-    if n % 2 == 0:
-        js = [j for j in range(-n // 2, n // 2 + 1) if j != 0]
-    else:
-        js = list(range(-(n // 2), n // 2 + 1))
-    velocities = tuple(du * j for j in js)
-    return fd_stream_occupations(cfg.t_over_tf, 1.0, velocities)
+    snapshots: dict  # time -> copy of the state's array (f or psi)
 
 
 def _kinetic_setup(cfg: ScenarioConfig, spatial: SpatialGrid):
@@ -44,8 +31,8 @@ def _kinetic_setup(cfg: ScenarioConfig, spatial: SpatialGrid):
 
 
 def _streams(cfg: ScenarioConfig, spatial: SpatialGrid, pert):
-    streams = plane_wave_mixture(stream_lattice_spec(cfg, spatial), spatial,
-                                 cfg.h)
+    streams = plane_wave_mixture(stream_lattice_spec(
+        cfg.n_streams, cfg.t_over_tf, cfg.h, spatial.length), spatial, cfg.h)
     return streams if pert is None else hartree.perturb_streams(streams, pert)
 
 
@@ -53,28 +40,19 @@ class _Model(NamedTuple):
     solver: ModuleType  # step(state, dt) and diagnostics(state)
     build: Callable     # (cfg, spatial grid, perturbation or None) -> state
     array: str          # f (phase-space models) or psi (wavefunctions)
-    snapshot: Callable  # state -> model-specific snapshot writer keywords
 
 
 # Model name -> how simulate drives it.  run() reads step and diagnostics
 # off the solver module each time it runs, so a function swapped onto the
 # module (as perfbench's step clock does) is the one called.
 MODELS = {
-    "vlasov": _Model(
-        vlasov, lambda cfg, sp, pert: vlasov.initial_state(
-            *_kinetic_setup(cfg, sp), pert),
-        "f", lambda state: {}),
-    "wigner": _Model(
-        wigner, lambda cfg, sp, pert: wigner.initial_state(
-            *_kinetic_setup(cfg, sp), cfg.h, pert),
-        "f", lambda state: {"split_sign_channels": True}),
-    "hartree": _Model(
-        hartree, _streams,
-        "psi", lambda state: {"probabilities": state.probabilities}),
-    "fluid": _Model(
-        qfluid, lambda cfg, sp, pert: qfluid.initial_state(
-            sp, cfg.h, pert, cfg.gamma, cfg.p0),
-        "psi", lambda state: {}),
+    "vlasov": _Model(vlasov, lambda cfg, sp, pert: vlasov.initial_state(
+        *_kinetic_setup(cfg, sp), pert), "f"),
+    "wigner": _Model(wigner, lambda cfg, sp, pert: wigner.initial_state(
+        *_kinetic_setup(cfg, sp), cfg.h, pert), "f"),
+    "hartree": _Model(hartree, _streams, "psi"),
+    "fluid": _Model(qfluid, lambda cfg, sp, pert: qfluid.initial_state(
+        sp, cfg.h, pert, cfg.gamma, cfg.p0), "psi"),
 }
 
 
@@ -127,21 +105,14 @@ def write_outputs(cfg: ScenarioConfig, result: RunResult, out_dir) -> list:
     cfg_path.write_text(cfg.to_text())
     paths.append(cfg_path)
 
-    model = MODELS[cfg.model]
-    state = result.final_state
-    writer = (diagio.write_snapshot if model.array == "f"
-              else diagio.write_wavefunction_snapshot)
-    initial = "perturbed_equilibrium" if model.array == "f" else "wavefunction"
-    options = dict(H=cfg.h, config_hash=h, extra_header={"initial_data": initial},
-                   **model.snapshot(state))
-
-    def write_state(tag, payload, time):
+    def write_state(tag, state, time):
         path = out / f"snapshot_{cfg.model}_{h}_{tag}.qpsn"
-        writer(path, payload, state.grid, time, cfg.model, **options)
+        diagio.write_snapshot(path, state, time, cfg.model, h)
         paths.append(path)
 
+    array = MODELS[cfg.model].array
     for t, payload in sorted(result.snapshots.items()):
-        write_state(f"t{t:g}", payload, t)
+        write_state(f"t{t:g}", replace(result.final_state, **{array: payload}), t)
     if cfg.save_final:
-        write_state("final", getattr(state, model.array), cfg.t_end)
+        write_state("final", result.final_state, cfg.t_end)
     return paths

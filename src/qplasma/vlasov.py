@@ -46,7 +46,8 @@ import numpy as np
 from scipy.ndimage import spline_filter1d
 
 from .equilibria import Equilibrium1D, Perturbation
-from .fields import PhaseSpaceGrid, poisson_periodic, spectral_derivative
+from .fields import (PhaseSpaceGrid, field_energy, moments, poisson_periodic,
+                     spectral_derivative)
 
 # Zero rows scipy.ndimage puts on each side of the velocity axis before the
 # "grid-constant" spline prefilter; the coefficients depend on this count.
@@ -172,12 +173,6 @@ def step(state: VlasovState, dt: float) -> VlasovState:
 
 def diagnostics(state: VlasovState):
     """Box-averaged (field energy, kinetic energy, mass, momentum)."""
-    grid, f = state.grid, state.f
-    v = grid.v[:, None]
-    n = np.sum(f, axis=0) * grid.dv
-    flux = np.sum(f * v, axis=0) * grid.dv
-    phi = poisson_periodic(n, grid.spatial)
-    efield = spectral_derivative(phi, grid.spatial)
-    field_energy = 0.5 * float(np.mean(efield**2))
-    kinetic = 0.5 * float(np.mean(np.sum(f * v**2, axis=0) * grid.dv))
-    return field_energy, kinetic, float(np.mean(n)), float(np.mean(flux))
+    n, flux, second = moments(state.f, state.grid)
+    return (field_energy(n, state.grid.spatial), 0.5 * float(np.mean(second)),
+            float(np.mean(n)), float(np.mean(flux)))

@@ -321,8 +321,8 @@ def test_criterion_10_exact_identities_and_reproducibility(tmp_path):
     pgrid = PhaseSpaceGrid(grid, 3.0, 16)
     f = rng.standard_normal((16, 128))
     path = tmp_path / "snap.qpsn"
-    write_snapshot(path, f, pgrid, 1.0, "wigner", H=1.0,
-                   split_sign_channels=True)
+    write_snapshot(path, wigner.WignerState(f, pgrid, 1.0), 1.0, "wigner",
+                   "")
     _, channels = read_snapshot(path)
     if not np.array_equal(channels["f_plus"] - channels["f_minus"], f):
         problems.append("snapshot round-trip")

@@ -14,7 +14,7 @@ import pytest
 
 from qplasma import cli
 from qplasma.config import (COMMON_KEYS, MODELS, ConfigError, ScenarioConfig,
-                            parse_config)
+                            parse_config, read_keys)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -91,6 +91,41 @@ class TestConfigParsing:
         assert err.value.problems == ["line 5: model 'hartree' has no key 'n_v'"]
         assert "n_v" not in parse_config(text).to_text()
 
+    @pytest.mark.parametrize("model", ["vlasov", "wigner"])
+    @pytest.mark.parametrize("equilibrium", ["waterbag1d",
+                                             "fd3d_projected_T0"])
+    def test_t_over_tf_is_a_key_only_of_the_finite_temperature_profile(
+            self, model, equilibrium):
+        # These profiles take no temperature: t_over_tf would be accepted,
+        # ignored and hashed.
+        text = (f"model = {model}\nequilibrium = {equilibrium}\nn_x = 32\n"
+                + ("h = 1.0\n" if model == "wigner" else ""))
+        n_lines = len(text.splitlines())
+        expected = f"equilibrium {equilibrium!r} has no key 't_over_tf'"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "t_over_tf = 0.5\n")
+        assert err.value.problems == [f"line {n_lines + 1}: {expected}"]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, overrides=["t_over_tf = 0.5"])
+        assert err.value.problems == [f"override: {expected}"]
+        assert "t_over_tf" not in parse_config(text).to_text()
+        finite_t = parse_config(text.replace(equilibrium, "fd3d_projected")
+                                + "t_over_tf = 0.5\n")
+        assert "t_over_tf = 0.5\n" in finite_t.to_text()
+
+    def test_stream_lattice_above_the_fermi_energy_is_rejected_on_the_h_line(
+            self):
+        # With h = 10 on the unit-k box the even lattice's streams sit at
+        # multiples of pi h / L = 5 v_F, all above the Fermi energy, so no
+        # occupation is left.  An odd count keeps the stream at rest.
+        text = "model = hartree\nh = 10.0\nn_x = 32\nt_end = 0.2\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        [problem] = err.value.problems
+        assert problem.startswith("line 2: h must leave a stream below the "
+                                  "Fermi energy, got 10.0")
+        assert parse_config(text + "n_streams = 3\n").h == 10.0
+
     def test_fluid_split_step_resonance_is_rejected_on_the_dt_line(self):
         # hbar_eff k_max^2 dt / 2 = 0.5 * 128^2 * 0.05 / 2 = 65.2 pi.
         with pytest.raises(ConfigError) as err:
@@ -130,7 +165,9 @@ class TestConfigParsing:
         assert again == cfg
 
     # Each model with every key it reads away from its default, so each
-    # key's parser is used.  dt keeps the fluid clear of the resonance.
+    # key's parser is used.  dt keeps the fluid clear of the resonance.  Off
+    # its default the equilibrium takes no temperature, so only hartree
+    # reads t_over_tf here.
     OFF_DEFAULT = {"equilibrium": "waterbag1d", "t_over_tf": "0.05",
                    "alpha": "0.02", "k": "0.5", "h": "0.7", "n_x": "64",
                    "n_v": "128", "v_max": "4.0", "dt": "0.02", "t_end": "2.0",
@@ -140,7 +177,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_round_trip_with_every_key_off_its_default(self, model):
-        keys = COMMON_KEYS[1:] + MODELS[model]
+        keys = read_keys(model, self.OFF_DEFAULT["equilibrium"])[1:]
         cfg = parse_config(f"model = {model}\n" + "".join(
             f"{key} = {self.OFF_DEFAULT[key]}\n" for key in keys))
         defaults = ScenarioConfig(model=model)
@@ -484,6 +521,12 @@ class TestImportFootprint:
         # scipy.stats adds about 18 MB of resident memory to every process
         # that imports it; nothing in qplasma needs it.
         assert self.loaded_after_import("qplasma.cli", ["scipy.stats"]) == "[]"
+
+    def test_diagio_import_loads_no_quadrature(self):
+        # The snapshot writer reads the solvers' state types; none of them
+        # brings in the dispersion integrals.
+        assert self.loaded_after_import(
+            "qplasma.diagio", ["scipy.integrate"]) == "[]"
 
     def test_simulate_import_loads_no_quadrature_or_root_finder(self):
         # The library path of `qplasma run` solves the chemical potential

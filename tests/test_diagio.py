@@ -12,10 +12,12 @@ from scipy.stats import linregress
 
 from qplasma.diagio import (DiagnosticSeries, SeriesRecorder, _line_fit,
                             damping_halt_time, detect_vortex,
-                            fit_damping_rate, read_series_csv, read_snapshot,
-                            write_series_csv, write_snapshot,
-                            write_wavefunction_snapshot)
+                            fit_damping_rate, format_table, read_series_csv,
+                            read_snapshot, write_series_csv, write_snapshot)
+from qplasma.equilibria import StreamSet
 from qplasma.fields import PhaseSpaceGrid, SpatialGrid
+from qplasma.vlasov import VlasovState
+from qplasma.wigner import WignerState
 
 RNG = np.random.default_rng(7)
 
@@ -127,6 +129,23 @@ class TestSeries:
         with pytest.raises(ValueError, match=r"series.csv:5: 6 fields"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("comment", [None, "model=vlasov"])
+    def test_table_cells_read_back_bit_exact(self, comment):
+        values = np.concatenate((RNG.standard_normal(5) * 1e-7,
+                                 [0.1, 1.0 / 3.0, -0.0, 5e-324]))
+        flags = values > 0
+        text = format_table(("x", "positive"), zip(values, flags), comment)
+        lines = text.splitlines()
+        if comment is not None:
+            assert lines.pop(0) == f"# {comment}"
+        assert lines.pop(0) == "x,positive"
+        assert text.endswith("\n")
+        cells = [line.split(",") for line in lines]
+        back = np.array([float(x) for x, _ in cells])
+        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+        assert [flag for _, flag in cells] == [
+            "true" if f else "false" for f in flags]
+
     def test_nonmonotone_times_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             DiagnosticSeries(np.array([0.0, 0.2, 0.1]), np.zeros(3),
@@ -142,8 +161,8 @@ class TestSnapshots:
         grid = self.make_grid()
         f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, f, grid, 12.5, "wigner", H=1.0,
-                       config_hash="deadbeef", split_sign_channels=True)
+        write_snapshot(path, WignerState(f, grid, 1.0), 12.5, "wigner",
+                       "deadbeef")
         header, channels = read_snapshot(path)
         assert header["model"] == "wigner"
         assert header["time"] == 12.5
@@ -158,27 +177,30 @@ class TestSnapshots:
         grid = self.make_grid()
         f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, f, grid, 0.0, "vlasov")
+        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
         header, channels = read_snapshot(path)
+        assert set(channels) == {"f"}
         assert np.array_equal(channels["f"], f)
         assert header["grid"]["n_x"] == 32
+        assert header["H"] == 0.0
 
     def test_wavefunction_round_trip(self, tmp_path):
         grid = SpatialGrid(2.0 * np.pi, 32)
         psi = RNG.standard_normal((4, 32)) + 1j * RNG.standard_normal((4, 32))
         path = tmp_path / "wf.qpsn"
-        write_wavefunction_snapshot(path, psi, grid, 3.0, "hartree", H=0.5,
-                                    probabilities=[0.4, 0.3, 0.2, 0.1])
+        streams = StreamSet(grid, psi, np.array([0.4, 0.3, 0.2, 0.1]), 0.5)
+        write_snapshot(path, streams, 3.0, "hartree", "")
         header, channels = read_snapshot(path)
         back = channels["psi_re"] + 1j * channels["psi_im"]
         assert np.array_equal(back, psi)
         assert header["probabilities"] == [0.4, 0.3, 0.2, 0.1]
+        assert header["H"] == 0.5
 
     def test_corrupted_payload_is_detected(self, tmp_path):
         grid = self.make_grid()
         f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, f, grid, 0.0, "vlasov")
+        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -203,15 +225,15 @@ class TestSnapshots:
         grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 16), 3.0, 8)
         f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, f, grid, 0.0, "vlasov")
+        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
         self.rewrite(path, edit_header=lambda h: h.update(shape=[8, 8]))
         with pytest.raises(ValueError, match="payload"):
             read_snapshot(path)
-        write_snapshot(path, f, grid, 0.0, "vlasov")
+        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
         self.rewrite(path, extra_payload=bytes(64))
         with pytest.raises(ValueError, match="payload"):
             read_snapshot(path)
-        write_snapshot(path, f, grid, 0.0, "vlasov")
+        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
         self.rewrite(path)
         assert np.array_equal(read_snapshot(path)[1]["f"], f)
 

@@ -1,11 +1,12 @@
-"""Periodic grids, the spectral Poisson solve and velocity moments."""
+"""Periodic grids, the spectral Poisson solve, the field energy and
+velocity moments."""
 
 import numpy as np
 import pytest
 
 from qplasma.equilibria import projected_fd_zero_t, waterbag_1d
-from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, moments,
-                            poisson_periodic, spectral_derivative)
+from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, field_energy,
+                            moments, poisson_periodic, spectral_derivative)
 
 RNG = np.random.default_rng(7)
 
@@ -103,6 +104,13 @@ class TestPoisson:
         with pytest.raises(ValueError, match="non-neutral"):
             poisson_periodic(np.full(grid.n_x, 1.01), grid)
 
+    def test_field_energy_of_a_cosine_density(self, grid):
+        # phi'' = alpha cos x gives E = phi' = alpha sin x, <E^2>/2 = alpha^2/4.
+        alpha = 0.1
+        density = 1.0 + alpha * np.cos(grid.x)
+        assert field_energy(density, grid) == pytest.approx(0.25 * alpha**2,
+                                                            rel=1e-13)
+
 
 class TestMoments:
     def test_equilibrium_density_and_flux(self, pgrid):
@@ -116,15 +124,23 @@ class TestMoments:
 
     def test_waterbag_pressure_is_third_of_edge_velocity_squared(self):
         # Flat profile on |v| <= v_F has <v^2> = v_F^2 / 3; a fine grid
-        # with the edge between nodes keeps the quadrature bias small.
+        # with the edge between nodes keeps the quadrature bias small.  The
+        # same profile drifting at u has second moment 1/3 + u^2, flux u
+        # and the same pressure second - flux^2 / n.
         grid = SpatialGrid(2.0 * np.pi, 8)
         pgrid = PhaseSpaceGrid(grid, v_max=3.0, n_v=4096)
         eq = waterbag_1d()
         prof = eq.f0(pgrid.v).real
         prof *= 1.0 / (np.sum(prof) * pgrid.dv)
-        f = np.broadcast_to(prof[:, None], (pgrid.n_v, grid.n_x))
-        _, _, p = moments(f, pgrid)
-        assert np.max(np.abs(p - 1.0 / 3.0)) < 1e-3
+        for cells in (0, 700):
+            u = cells * pgrid.dv
+            f = np.broadcast_to(np.roll(prof, cells)[:, None],
+                                (pgrid.n_v, grid.n_x))
+            n, flux, second = moments(f, pgrid)
+            assert np.max(np.abs(second - (1.0 / 3.0 + u**2))) < 1e-3
+            assert np.max(np.abs(flux - u)) < 1e-12
+            p = second - flux**2 / n
+            assert np.max(np.abs(p - 1.0 / 3.0)) < 1e-3
 
     def test_shifted_distribution_flux(self, pgrid):
         # Moving the profile by one grid cell shifts the flux by n * dv.

@@ -1,5 +1,6 @@
 """The scenario driver for every model: run-time lookup of the solver's
-step function and exact read-back of every file write_outputs produces."""
+step function, exact read-back of every file write_outputs produces and
+byte-identical files from two runs of one config."""
 
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from qplasma import diagio, hartree, qfluid, simulate, vlasov, wigner
 from qplasma.config import (COMMON_KEYS, MODELS, ConfigError, ScenarioConfig,
                             parse_config)
-from qplasma.fields import SpatialGrid
+from qplasma.equilibria import stream_lattice_spec
 
 N_STEPS = 10
 
@@ -136,9 +137,22 @@ def test_written_files_read_back_equal_to_the_run(model, tmp_path):
         assert np.array_equal(channel_array(channels),
                               np.atleast_2d(payload)), tag
         if model == "hartree":
-            spatial = SpatialGrid(cfg.length, cfg.n_x)
-            expected = simulate.stream_lattice_spec(cfg, spatial).probabilities
+            expected = stream_lattice_spec(cfg.n_streams, cfg.t_over_tf,
+                                           cfg.h, cfg.length).probabilities
             assert header["probabilities"] == [float(p) for p in expected]
+
+
+@pytest.mark.parametrize("model", sorted(CONFIGS))
+def test_two_runs_of_one_config_write_identical_files(model, tmp_path):
+    cfg = CONFIGS[model]
+    written = [simulate.write_outputs(cfg, simulate.run(cfg), tmp_path / run)
+               for run in ("a", "b")]
+    names = [sorted(Path(p).name for p in paths) for paths in written]
+    assert names[0] == names[1]
+    assert len(names[0]) == 4  # series, config, mid-run and final snapshot
+    for name in names[0]:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 3")
