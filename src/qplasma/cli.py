@@ -68,9 +68,7 @@ def cmd_params(args) -> int:
         ("pauli_estimate_valid", not outside),
     ]
     if args.csv:
-        print("quantity,value")
-        for name, val in rows:
-            print(f"{name},{val}")
+        sys.stdout.write(format_table(("quantity", "value"), rows))
     else:
         width = max(len(name) for name, _ in rows)
         for name, val in rows:

@@ -76,11 +76,12 @@ class SeriesRecorder:
 
 def format_table(columns, rows, comment: str | None = None) -> str:
     """CSV text of `rows` under the header `columns`, after a ``# comment``
-    line when one is given; floats are written exactly (repr) and booleans
-    as true/false."""
+    line when one is given; floats are written exactly (repr), booleans as
+    true/false and strings as they are."""
     lines = [] if comment is None else [f"# {comment}"]
     lines.append(",".join(columns))
-    lines += [",".join(str(v).lower() if isinstance(v, (bool, np.bool_))
+    lines += [",".join(v if isinstance(v, str)
+                       else str(v).lower() if isinstance(v, (bool, np.bool_))
                        else repr(float(v)) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -150,25 +151,27 @@ def write_snapshot(path, state, time: float, model: str,
                   "initial_data": "wavefunction"}
         if not isinstance(state, FluidState):
             header["probabilities"] = [float(p) for p in state.probabilities]
-    payload = b"".join(np.ascontiguousarray(c, dtype="<f8").tobytes()
-                       for c in channels.values())
+    # The channels are checksummed and written from their own memory; the
+    # payload is never gathered into one bytes object.
+    arrays = [np.ascontiguousarray(c, dtype="<f8") for c in channels.values()]
+    crc = 0
+    for arr in arrays:
+        crc = zlib.crc32(arr, crc)
     header.update(time=float(time), model=model, config_hash=config_hash,
                   H=float(getattr(state, "H", 0.0)),  # 0 for a classical f
-                  channels=list(channels),
-                  shape=list(next(iter(channels.values())).shape),
-                  payload_crc32=zlib.crc32(payload) & 0xFFFFFFFF)
+                  channels=list(channels), shape=list(arrays[0].shape),
+                  payload_crc32=crc & 0xFFFFFFFF)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<I", SNAPSHOT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+        fh.writelines([SNAPSHOT_MAGIC,
+                       struct.pack("<II", SNAPSHOT_VERSION, len(header_bytes)),
+                       header_bytes, *arrays])
 
 
 def read_snapshot(path):
     """Returns (header dict, {channel: array}); verifies the checksum and
-    that the payload holds exactly the channels and shape the header names."""
+    that the payload holds exactly the channels and shape the header names.
+    The channels are views of one array that the payload is read into."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
@@ -178,19 +181,20 @@ def read_snapshot(path):
             raise ValueError(f"unsupported snapshot version {version}")
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != header["payload_crc32"]:
+        shape = tuple(header["shape"])
+        names = header["channels"]
+        size = 8 * len(names) * math.prod(shape)
+        data = np.empty(size // 8, dtype="<f8")
+        length = fh.readinto(data)  # short only at the end of the file
+        if length == size:
+            length += len(fh.read())
+        if length != size:
+            raise ValueError(
+                f"snapshot payload is {length} bytes, but {len(names)} "
+                f"channels of shape {list(shape)} take {size}")
+    if (zlib.crc32(data) & 0xFFFFFFFF) != header["payload_crc32"]:
         raise ValueError("snapshot payload checksum mismatch")
-    shape = tuple(header["shape"])
-    names = header["channels"]
-    size = 8 * math.prod(shape)
-    if len(payload) != len(names) * size:
-        raise ValueError(
-            f"snapshot payload is {len(payload)} bytes, but {len(names)} "
-            f"channels of shape {list(shape)} take {len(names) * size}")
-    return header, {name: np.frombuffer(payload, dtype="<f8", count=size // 8,
-                                        offset=i * size).reshape(shape).copy()
-                    for i, name in enumerate(names)}
+    return header, dict(zip(names, data.reshape(len(names), *shape)))
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray):

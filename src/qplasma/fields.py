@@ -82,9 +82,13 @@ def spectral_derivative(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 def poisson_periodic(density: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Solve phi'' = density - 1 on the periodic box; returns zero-mean phi.
 
-    The box must be quasineutral: mean(density) == n0 = 1 to 1e-10.
+    The box must be quasineutral: mean(density) == n0 = 1 to 1e-10.  A
+    non-finite mean, which fails no comparison, raises FloatingPointError.
     """
-    excess = float(np.mean(density)) - 1.0
+    mean = float(np.mean(density))
+    if not np.isfinite(mean):
+        raise FloatingPointError(f"non-finite mean density {mean}")
+    excess = mean - 1.0
     if abs(excess) > 1e-10:
         raise ValueError(
             f"non-neutral box: mean density deviates from n0 by {excess:.3e}"

@@ -1,6 +1,5 @@
 """Self-consistent mean-field evolution of a mixture of N wavefunctions
-coupled through the shared periodic Poisson equation, plus the per-stream
-amplitude/phase (density and velocity) decomposition.
+coupled through the shared periodic Poisson equation.
 
 Each stream obeys
 
@@ -12,32 +11,16 @@ solve from n, full potential kick, half kinetic.  Streams advance
 independently except for the field solve (fork-join per step).
 
 The Hartree model has no local potential W.  The quantum fluid model
-(`qfluid`) runs the same integrator, diagnostics and Madelung
-decomposition on one stream of weight 1 with the enthalpy as W.
+(`qfluid`) runs the same integrator and diagnostics on one stream of
+weight 1 with the enthalpy as W.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .equilibria import Perturbation, StreamSet, hbar_eff
 from .fields import field_energy, poisson_periodic
-
-
-class MadelungFields(NamedTuple):
-    """Per-stream density and flow velocity with a vacuum mask, each
-    shaped like psi.
-
-    u is meaningless where |psi|^2 is negligible, below 1e-8 of the
-    stream's maximum; those cells are flagged in `mask` (True = unreliable)
-    and u is set to 0 there.
-    """
-
-    n: np.ndarray
-    u: np.ndarray
-    mask: np.ndarray
 
 
 def perturb_streams(streams: StreamSet, pert: Perturbation) -> StreamSet:
@@ -99,17 +82,3 @@ def _wave_diagnostics(streams: StreamSet):
 def diagnostics(streams: StreamSet):
     """Box-averaged (field energy, kinetic energy, mass, momentum)."""
     return _wave_diagnostics(streams)
-
-
-def madelung_decompose(streams: StreamSet) -> MadelungFields:
-    """Density n_a = |psi_a|^2 and velocity u_a from the local phase
-    increment hbar_eff * arg(psi(x+dx) conj(psi(x-dx))) / (2 dx), which
-    needs no global phase unwrapping."""
-    psi = streams.psi
-    n = np.abs(psi) ** 2
-    fwd = np.roll(psi, -1, axis=-1)
-    bwd = np.roll(psi, 1, axis=-1)
-    u = (hbar_eff(streams.H) * np.angle(fwd * np.conj(bwd))
-         / (2.0 * streams.grid.dx))
-    mask = n < 1e-8 * n.max(axis=-1, keepdims=True)
-    return MadelungFields(n, np.where(mask, 0.0, u), mask)

@@ -9,12 +9,12 @@ P = n^3/3 in units of n0 m v_F^2, for which W_eff(n) = (n^2 - 1)/2; the
 constant is a gauge choice making the kick vanish at equilibrium density.
 Integrating the wavefunction form keeps n = |Psi|^2 nonnegative and the
 mass exactly conserved, unlike a direct discretization of the density and
-velocity equations; the Madelung fields are kept as diagnostics only.
+velocity equations.
 
 In 1D this is the Hartree model of one stream of weight 1 with the
 enthalpy as a local potential (Manfredi & Haas, PRB 64, 075316, 2001), so
-the split-step integrator, the wavefunction diagnostics and the Madelung
-decomposition are the ones in `hartree`.
+the split-step integrator and the wavefunction diagnostics are the ones in
+`hartree`.
 """
 
 from __future__ import annotations

@@ -21,11 +21,16 @@ left unkicked so f stays real.  The tables that depend only on the grid
 and H (the spectral shift 2i sin(k lam/2) on the nodes lam >= 0) or on
 the grid and dt (the streaming phases exp(-i k v dt)) are built once and
 kept, read-only, in small functools.lru_cache helpers.
+
+A step keeps its spectra, mid-step f and kick factor in two work arrays
+cached per grid, so it allocates little beyond the array it returns; like
+vlasov.advect_v it is not reentrant across threads.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -76,11 +81,29 @@ def _stream_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     return table
 
 
-def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
-    """Exact free streaming: phase shift exp(-i k v dt) per velocity row."""
-    fhat = np.fft.rfft(f, axis=1)
+@functools.lru_cache(maxsize=4)
+def _scratch(grid: PhaseSpaceGrid):
+    """Two flat complex work arrays, each large enough for an rfft of an
+    (n_v, n_x) field over either axis: A holds a spectrum, B the mid-step f
+    of `step` (as a real view) and the kick factor."""
+    n_v, n_x = grid.n_v, grid.spatial.n_x
+    size = max((n_v // 2 + 1) * n_x, n_v * (n_x // 2 + 1))
+    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+
+
+def _work(grid: PhaseSpaceGrid, which: int, shape, dtype=complex):
+    """A `shape` view of `dtype` at the start of work array A (0) or B (1)."""
+    return _scratch(grid)[which].view(dtype)[:math.prod(shape)].reshape(shape)
+
+
+def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Exact free streaming: phase shift exp(-i k v dt) per velocity row,
+    written to `out` when given, else to a new array."""
+    n_x = grid.spatial.n_x
+    fhat = np.fft.rfft(f, axis=1, out=_work(grid, 0, (grid.n_v, n_x // 2 + 1)))
     fhat *= _stream_table(grid, dt)
-    return np.fft.irfft(fhat, n=grid.spatial.n_x, axis=1)
+    return np.fft.irfft(fhat, n=n_x, axis=1, out=out)
 
 
 @functools.lru_cache(maxsize=4)
@@ -98,9 +121,10 @@ def _kick_shift(grid: PhaseSpaceGrid, H: float) -> np.ndarray:
 
 
 def potential_kick(f: np.ndarray, grid: PhaseSpaceGrid, H: float, dt: float,
-                   phi: np.ndarray) -> np.ndarray:
+                   phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the full nonlocal force step for the frozen self-consistent
-    electrostatic potential phi (particle potential energy -phi)."""
+    electrostatic potential phi (particle potential energy -phi); the
+    result goes to `out` when given, else to a new array."""
     scale = dt / hbar_eff(H)
     # phase[lam, x] = (dt / hbar_eff) [phi(x - lam/2) - phi(x + lam/2)]
     phase = -np.fft.irfft(np.fft.rfft(phi) * scale * _kick_shift(grid, H),
@@ -113,23 +137,28 @@ def potential_kick(f: np.ndarray, grid: PhaseSpaceGrid, H: float, dt: float,
     # The unpaired Nyquist mode must stay self-conjugate to keep f real;
     # leave it unkicked.
     phase[-1] = 0.0
-    kick = np.empty(phase.shape, dtype=complex)  # exp(i phase)
+    # g is taken before the kick factor is written: f may be the mid-step
+    # view of work array B, which the kick factor overwrites.
+    g = np.fft.rfft(f, axis=0, out=_work(grid, 0, phase.shape))
+    kick = _work(grid, 1, phase.shape)  # exp(i phase)
     np.cos(phase, out=kick.real)
     np.sin(phase, out=kick.imag)
-    g = np.fft.rfft(f, axis=0)
     g *= kick
-    return np.fft.irfft(g, n=grid.n_v, axis=0)
+    return np.fft.irfft(g, n=grid.n_v, axis=0, out=out)
 
 
 def step(state: WignerState, dt: float) -> WignerState:
     """One Strang-split step: half stream, field solve, kick, half stream."""
     if state.H <= 0:
         raise ValueError("quantum transport requires H > 0")
-    f = advect_x(state.f, state.grid, 0.5 * dt)
-    phi = poisson_periodic(np.sum(f, axis=0) * state.grid.dv,
-                           state.grid.spatial)
-    f = potential_kick(f, state.grid, state.H, dt, phi)
-    f = advect_x(f, state.grid, 0.5 * dt)
+    grid = state.grid
+    # The mid-step f lives in work array B; the last half stream returns a
+    # new array, the next state.
+    mid = _work(grid, 1, state.f.shape, float)
+    f = advect_x(state.f, grid, 0.5 * dt, out=mid)
+    phi = poisson_periodic(np.sum(f, axis=0) * grid.dv, grid.spatial)
+    f = potential_kick(f, grid, state.H, dt, phi, out=mid)
+    f = advect_x(f, grid, 0.5 * dt)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("non-finite values in f")
     return WignerState(f, state.grid, state.H)

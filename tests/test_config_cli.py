@@ -268,6 +268,19 @@ class TestParamsCommand:
         assert float(rows["g_quantum"]) == pytest.approx(12.7, rel=0.01)
         assert rows["regime"].startswith("Quantum")
 
+    def test_csv_is_written_by_the_table_writer(self, capsys):
+        # Names and the regime as text, every number as repr(float) and the
+        # boolean as true/false, like every other CSV the package writes.
+        rc = cli.main(["params", "--material", "gold", "--csv"])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[0] == "quantity,value"
+        rows = parse_csv_rows(text)
+        assert rows.pop("pauli_estimate_valid") in ("true", "false")
+        assert rows.pop("regime").isalpha()
+        for value in rows.values():
+            assert repr(float(value)) == value
+
     def test_explicit_density_temperature(self, capsys):
         rc = cli.main(["params", "--density", "1e28", "--temperature",
                        "300", "--csv"])

@@ -3,7 +3,9 @@ series and snapshot round-trips, corruption detection and the phase-space
 vortex detector."""
 
 import json
+import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -236,6 +238,66 @@ class TestSnapshots:
         write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
         self.rewrite(path)
         assert np.array_equal(read_snapshot(path)[1]["f"], f)
+
+    def test_short_and_long_payloads_are_rejected_by_length(self, tmp_path):
+        grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 16), 3.0, 8)
+        f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
+        path = tmp_path / "snap.qpsn"
+        for edit, size in ((lambda raw: raw[:-8], 1016),
+                           (lambda raw: raw + bytes(8), 1032)):
+            write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
+            path.write_bytes(edit(path.read_bytes()))
+            with pytest.raises(ValueError) as err:
+                read_snapshot(path)
+            assert str(err.value) == (f"snapshot payload is {size} bytes, but "
+                                      "1 channels of shape [8, 16] take 1024")
+
+    # A pipe has no size to stat: the payload length is what can be read.
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_snapshot_is_read_from_a_pipe(self, tmp_path):
+        grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 16), 3.0, 8)
+        f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
+        path = tmp_path / "snap.qpsn"
+        write_snapshot(path, VlasovState(f, grid), 0.5, "vlasov", "abc")
+        raw = path.read_bytes()
+
+        def read_piped(data):
+            r, w = os.pipe()
+            try:
+                os.write(w, data)  # 1 KiB payload: within the pipe buffer
+                os.close(w)
+                return read_snapshot(f"/dev/fd/{r}")
+            finally:
+                os.close(r)
+
+        header, channels = read_piped(raw)
+        assert header["time"] == 0.5 and header["config_hash"] == "abc"
+        assert np.array_equal(channels["f"], f)
+        with pytest.raises(ValueError) as err:
+            read_piped(raw[:-8])
+        assert str(err.value) == ("snapshot payload is 1016 bytes, but "
+                                  "1 channels of shape [8, 16] take 1024")
+
+    # A 256x256 Wigner state: two channels, f_plus and f_minus, each of
+    # f.nbytes.  Gathering the payload into one bytes object peaked at 6
+    # f.nbytes when writing and 4 when reading; writing now holds the two
+    # channels and the -f of f_minus, reading the one payload array.
+    @pytest.mark.parametrize("io, limit", [("write", 3.5), ("read", 2.5)])
+    def test_snapshot_io_does_not_copy_its_payload(self, tmp_path, io, limit):
+        grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 256), 3.0, 256)
+        state = WignerState(RNG.standard_normal((256, 256)), grid, 1.0)
+        path = tmp_path / "snap.qpsn"
+        write_snapshot(path, state, 1.0, "wigner", "")  # warm-up
+        tracemalloc.start()
+        try:
+            if io == "write":
+                write_snapshot(path, state, 1.0, "wigner", "")
+            else:
+                read_snapshot(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * state.f.nbytes
 
     def test_wrong_magic_is_rejected(self, tmp_path):
         path = tmp_path / "bogus.qpsn"

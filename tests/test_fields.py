@@ -104,6 +104,15 @@ class TestPoisson:
         with pytest.raises(ValueError, match="non-neutral"):
             poisson_periodic(np.full(grid.n_x, 1.01), grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_rejected(self, grid, bad):
+        # A NaN mean fails the neutrality comparison too, so it used to
+        # come back as a NaN potential.
+        density = np.ones(grid.n_x)
+        density[3] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            poisson_periodic(density, grid)
+
     def test_field_energy_of_a_cosine_density(self, grid):
         # phi'' = alpha cos x gives E = phi' = alpha sin x, <E^2>/2 = alpha^2/4.
         alpha = 0.1

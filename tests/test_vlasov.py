@@ -244,6 +244,15 @@ class TestScratchBuffers:
 
 
 class TestStep:
+    def test_a_non_finite_state_stops_the_step(self):
+        # The half stream spreads the NaN along its velocity row, so the
+        # density of the field solve is non-finite and the step raises.
+        grid = make_grid(n_x=32, n_v=64)
+        state = vlasov.initial_state(grid, projected_fd_zero_t())
+        state.f[20, 5] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            vlasov.step(state, 0.05)
+
     def test_zero_perturbation_stays_quiet(self):
         grid = make_grid()
         state = vlasov.initial_state(grid, projected_fd_finite_t(t_over_tf=0.01))

@@ -1,6 +1,8 @@
 """Quantum phase-space transport: splitting exactness, conservation, the
 harmonic-oscillator oracle and the semiclassical limit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,111 @@ class TestKernelsMatchReference:
             f_ref = reference_potential_kick(f_ref, grid, 1.0, dt, phi)
             f_ref = reference_advect_x(f_ref, grid, 0.5 * dt)
         assert np.max(np.abs(state.f - f_ref)) < 1e-12 * np.max(np.abs(f_ref))
+
+
+# The kernels before the work arrays: every spectrum, mid-step f and kick
+# factor in a new array.  The work arrays keep the bits.
+def fresh_advect_x(f, grid, dt):
+    fhat = np.fft.rfft(f, axis=1)
+    fhat *= wigner._stream_table(grid, dt)
+    return np.fft.irfft(fhat, n=grid.spatial.n_x, axis=1)
+
+
+def fresh_potential_kick(f, grid, H, dt, phi):
+    scale = dt / hbar_eff(H)
+    phase = -np.fft.irfft(np.fft.rfft(phi) * scale * wigner._kick_shift(grid, H),
+                          n=grid.spatial.n_x, axis=1)
+    phase[-1] = 0.0
+    kick = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=kick.real)
+    np.sin(phase, out=kick.imag)
+    g = np.fft.rfft(f, axis=0)
+    g *= kick
+    return np.fft.irfft(g, n=grid.n_v, axis=0)
+
+
+def fresh_step(f, grid, H, dt):
+    f = fresh_advect_x(f, grid, 0.5 * dt)
+    phi = poisson_periodic(np.sum(f, axis=0) * grid.dv, grid.spatial)
+    f = fresh_potential_kick(f, grid, H, dt, phi)
+    return fresh_advect_x(f, grid, 0.5 * dt)
+
+
+def quantum_state(n_x, n_v):
+    return wigner.initial_state(make_grid(n_x=n_x, n_v=n_v),
+                                projected_fd_finite_t(t_over_tf=0.01), 1.0,
+                                Perturbation(0.1, 1.0))
+
+
+class TestWorkArrays:
+    # Square, n_x < n_v and n_x > n_v: the work arrays must hold a spectrum
+    # over either axis.
+    @pytest.mark.parametrize("n_x, n_v", [(256, 256), (64, 256), (128, 32)])
+    def test_hundred_steps_match_the_fresh_kernels_bit_for_bit(self, n_x, n_v):
+        state = quantum_state(n_x, n_v)
+        f0 = state.f.copy()
+        f_ref = state.f
+        for _ in range(100):
+            state = wigner.step(state, 0.05)
+            f_ref = fresh_step(f_ref, state.grid, 1.0, 0.05)
+        assert np.array_equal(state.f, f_ref)
+        assert np.max(np.abs(state.f - f0)) > 1e-3 * np.max(f0)
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS + [make_grid(n_x=32, n_v=64)])
+    def test_inputs_are_kept_and_outputs_own_their_memory(self, grid):
+        rng = np.random.default_rng(9)
+        f = rng.random((grid.n_v, grid.spatial.n_x))
+        f *= 1.0 / (np.mean(np.sum(f, axis=0)) * grid.dv)  # a neutral box
+        phi = random_potential(grid, rng)
+        before = f.copy()
+        outs = [wigner.advect_x(f, grid, 0.1), wigner.advect_x(f, grid, -0.2),
+                wigner.potential_kick(f, grid, 0.5, 0.01, phi),
+                wigner.potential_kick(f, grid, 2.0, 0.02, phi)]
+        state = wigner.WignerState(f, grid, 1.0)
+        outs.append(wigner.step(state, 0.05).f)
+        assert np.array_equal(f, before)
+        held = [f, *outs, *wigner._scratch(grid)]
+        for i, a in enumerate(outs):
+            for b in held[:i + 1] + held[i + 2:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    def test_out_takes_the_result_even_when_it_is_the_input(self, grid):
+        rng = np.random.default_rng(10)
+        f = rng.random((grid.n_v, grid.spatial.n_x))
+        phi = random_potential(grid, rng)
+        for kernel, args in ((wigner.advect_x, (0.1,)),
+                             (wigner.potential_kick, (0.5, 0.01, phi))):
+            want = kernel(f, grid, *args)
+            out = np.empty_like(f)
+            assert kernel(f, grid, *args, out=out) is out
+            assert np.array_equal(out, want)
+            assert kernel(out, grid, *args, out=out) is out
+            assert np.array_equal(out, kernel(want, grid, *args))
+
+    def test_grids_beyond_the_cache_size_keep_their_bits(self):
+        # Six grids stepped in turn evict one another's work arrays.
+        states = [quantum_state(n_x, n_v) for n_x, n_v in
+                  ((16, 16), (16, 32), (32, 16), (32, 32), (64, 16), (16, 64))]
+        alone = [fresh_step(fresh_step(s.f, s.grid, 1.0, 0.05), s.grid, 1.0,
+                            0.05) for s in states]
+        for _ in range(2):
+            states = [wigner.step(s, 0.05) for s in states]
+        for s, want in zip(states, alone):
+            assert np.array_equal(s.f, want)
+
+    def test_a_warm_step_allocates_about_its_output(self):
+        # 256x256, as in the acceptance runs.  With every stage in a new
+        # array the peak was 4.5 f.nbytes; with the work arrays it is the
+        # step's output plus the kick phase temporaries, about 1.1.
+        state = wigner.step(quantum_state(256, 256), 0.05)  # warm-up
+        tracemalloc.start()
+        try:
+            wigner.step(state, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * state.f.nbytes
 
 
 def well_step(f, grid, H, dt, well):
