@@ -21,15 +21,24 @@ a 2D interpolation:
 * Acceleration moves column i by a(x_i) dt / dv cells in v.  Only the v
   direction needs spline coefficients; they are computed with the zero
   padding and boundary rule of scipy.ndimage's "grid-constant" mode (12
-  zero rows, zero coefficients beyond them).  Each column is gathered with
-  its own four weights, one flat np.take per tap in the [i_v, i_x] layout;
-  a tap beyond the stored rows reads a zero, so the cost does not depend
-  on how far or how unevenly the columns move.
+  zero rows, zero coefficients beyond them).  They are held transposed,
+  indexed [i_x, i_v], so the prefilter runs along the contiguous axis and
+  each column of f is one contiguous row of coefficients.  Each column is
+  gathered with its own four weights, one flat np.take per tap at stride
+  1.  A column whose foot lies within the padding reads only its own row;
+  one that moves farther is gathered again with its taps clipped to the
+  zero ends of its row, so a tap beyond the box reads a zero however far
+  or unevenly the columns move.
 
-advect_v takes the coefficients, the gather index and a product buffer
-from a scratch set cached per grid, so it allocates little beyond the array
-it returns.  It is therefore not reentrant across threads; the library is
-single-threaded.
+A step keeps its intermediates in two flat complex work arrays cached per
+grid, which wigner.step shares: A holds the rfft spectrum of a half stream
+and, as a real view, advect_v's taps indexed [i_x, i_v]; B holds the
+mid-step f as a real view, which the first half stream writes and the
+acceleration overwrites.  The last half stream returns a new array, the
+next state.  advect_v's coefficients, gather index and product buffer are
+cached per grid on their own, so a Wigner run never builds them.  A step
+therefore allocates little beyond the array it returns, and none of this
+is reentrant across threads; the library is single-threaded.
 
 Each kernel equals the 2D scipy.ndimage.map_coordinates interpolation with
 the same modes to round-off; tests/test_vlasov.py keeps that interpolation
@@ -40,6 +49,7 @@ spline half-shifts are not one full shift.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,66 +119,108 @@ def _x_shift_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _scratch(grid: PhaseSpaceGrid):
-    """Work arrays reused by every advect_v call on `grid`: the spline
-    coefficients with one zero row beyond each end, a flat gather index and
-    one product buffer, all of them (rows, n_x)."""
+    """Two flat complex work arrays of the phase-space steps on `grid`, each
+    large enough for an rfft of an (n_v, n_x) field over either axis.  A
+    holds a spectrum or, as a real view, advect_v's taps; B holds the
+    mid-step f of a step (as a real view) and wigner's kick factor."""
     n_v, n_x = grid.n_v, grid.spatial.n_x
-    return (np.zeros((n_v + 2 * _PREFILTER_PAD + 2, n_x)),
-            np.empty((n_v, n_x), dtype=np.intp),
-            np.empty((n_v, n_x)))
+    size = max((n_v // 2 + 1) * n_x, n_v * (n_x // 2 + 1))
+    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
-def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
-    """Free streaming: f(x, v) <- f(x - v dt, v), periodic in x."""
-    fhat = np.fft.rfft(f, axis=1)
+def _work(grid: PhaseSpaceGrid, which: int, shape, dtype=complex):
+    """A `shape` view of `dtype` at the start of work array A (0) or B (1)."""
+    return _scratch(grid)[which].view(dtype)[:math.prod(shape)].reshape(shape)
+
+
+@functools.lru_cache(maxsize=4)
+def _v_scratch(grid: PhaseSpaceGrid):
+    """advect_v's own arrays on `grid`, indexed [i_x, i_v]: the spline
+    coefficients with one zero column beyond each end, a flat gather index
+    and one product buffer."""
+    n_v, n_x = grid.n_v, grid.spatial.n_x
+    return (np.zeros((n_x, n_v + 2 * _PREFILTER_PAD + 2)),
+            np.empty((n_x, n_v), dtype=np.intp),
+            np.empty((n_x, n_v)))
+
+
+def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Free streaming: f(x, v) <- f(x - v dt, v), periodic in x; the result
+    goes to `out` when given, else to a new array."""
+    n_x = grid.spatial.n_x
+    fhat = np.fft.rfft(f, axis=1, out=_work(grid, 0, (grid.n_v, n_x // 2 + 1)))
     fhat *= _x_shift_table(grid, dt)
-    return np.fft.irfft(fhat, n=f.shape[1], axis=1)
+    return np.fft.irfft(fhat, n=n_x, axis=1, out=out)
 
 
-def advect_v(f: np.ndarray, grid: PhaseSpaceGrid,
-             accel: np.ndarray, dt: float) -> np.ndarray:
-    """Acceleration: f(x, v) <- f(x, v - a(x) dt), zero outside the box."""
+def advect_v(f: np.ndarray, grid: PhaseSpaceGrid, accel: np.ndarray,
+             dt: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Acceleration: f(x, v) <- f(x, v - a(x) dt), zero outside the box;
+    the result goes to `out` when given (it may be `f`), else to a new
+    array."""
     n_v, n_x = f.shape
     pad = _PREFILTER_PAD
-    coeffs, index, prod = _scratch(grid)
+    coeffs, index, prod = _v_scratch(grid)
+    width = coeffs.shape[1]
     foot = -accel * dt / grid.dv  # row offset of each column's foot
     first = np.floor(foot)
-    weights = _spline_taps(foot - first)  # (4, n_x)
+    weights = _spline_taps(foot - first)[:, :, None]  # (4, n_x, 1)
     # A foot this far out reads only zeros; clipping keeps the index
     # arithmetic small, and a non-finite acceleration keeps its non-finite
     # weights.
     first = np.clip(np.nan_to_num(first), -(n_v + pad + 2), n_v + pad + 1)
-    # Velocity row r of the coefficients is stored at row r + pad + 1; rows
-    # 0 and -1 stay zero.
-    coeffs[:pad + 1] = 0.0
-    coeffs[pad + 1:pad + 1 + n_v] = f
-    coeffs[pad + 1 + n_v:] = 0.0
-    box = coeffs[1:-1]
-    spline_filter1d(box, axis=0, mode="grid-constant", output=box)
-    # Flat index of tap 0 of out[j, i]: velocity row j + first[i] - 1 of
-    # column i.  A tap above row 0 or below row -1 of the coefficients has
-    # an index off the flat array; mode="clip" reads flat[0] or flat[-1]
-    # in its place, both zero.
-    np.add(np.arange(0, n_v * n_x, n_x)[:, None],
-           (first.astype(np.intp) + pad) * n_x + np.arange(n_x), out=index)
+    # Velocity row r of column i is stored at coeffs[i, r + pad + 1];
+    # columns 0 and -1 stay zero.  f is copied in before anything is
+    # written, so `out` may be `f`.
+    coeffs[:, 1:pad + 1] = 0.0
+    coeffs[:, pad + 1:pad + 1 + n_v] = f.T
+    coeffs[:, pad + 1 + n_v:-1] = 0.0
+    box = coeffs[:, 1:-1]
+    spline_filter1d(box, axis=1, mode="grid-constant", output=box)
+    # Flat index of tap 0 of taps[i, j]: velocity row j + first[i] - 1 of
+    # column i, with first clipped so that every tap stays in row i.  That
+    # is exact for a foot within the padding; a column whose foot is
+    # farther out is gathered again below, its taps clipped to the zero
+    # ends of its row.  Every index is in range; mode="clip" only skips
+    # the bounds check.
+    near = np.clip(first, -pad, pad - 1).astype(np.intp) + pad
+    np.add((np.arange(0, n_x * width, width) + near)[:, None],
+           np.arange(n_v), out=index)
     flat = coeffs.reshape(-1)
-    out = np.take(flat, index, mode="clip", out=np.empty((n_v, n_x)))
-    out *= weights[0]
+    taps = np.take(flat, index, mode="clip",
+                   out=_work(grid, 0, index.shape, float))
+    taps *= weights[0]
     for q in range(1, 4):
-        index += n_x
-        out += np.multiply(np.take(flat, index, mode="clip", out=prod),
-                           weights[q], out=prod)
+        index += 1
+        taps += np.multiply(np.take(flat, index, mode="clip", out=prod),
+                            weights[q], out=prod)
+    far = np.flatnonzero((first < -pad) | (first >= pad))
+    if far.size:
+        rows = np.clip(first[far].astype(np.intp)[:, None] + pad
+                       + np.arange(n_v + 3), 0, width - 1)
+        window = coeffs[far[:, None], rows]
+        taps[far] = window[:, :n_v] * weights[0, far]
+        for q in range(1, 4):
+            taps[far] += window[:, q:q + n_v] * weights[q, far]
+    if out is None:
+        return np.ascontiguousarray(taps.T)
+    np.copyto(out, taps.T)
     return out
 
 
 def step(state: VlasovState, dt: float) -> VlasovState:
     """One Strang-split step; second order in dt."""
-    f = advect_x(state.f, state.grid, 0.5 * dt)
-    phi = poisson_periodic(np.sum(f, axis=0) * state.grid.dv, state.grid.spatial)
-    accel = spectral_derivative(phi, state.grid.spatial)
-    f = advect_v(f, state.grid, accel, dt)
-    f = advect_x(f, state.grid, 0.5 * dt)
-    return VlasovState(f, state.grid)
+    grid = state.grid
+    # The mid-step f lives in work array B; the last half stream returns a
+    # new array, the next state.
+    mid = _work(grid, 1, state.f.shape, float)
+    f = advect_x(state.f, grid, 0.5 * dt, out=mid)
+    phi = poisson_periodic(np.sum(f, axis=0) * grid.dv, grid.spatial)
+    accel = spectral_derivative(phi, grid.spatial)
+    f = advect_v(f, grid, accel, dt, out=mid)
+    f = advect_x(f, grid, 0.5 * dt)
+    return VlasovState(f, grid)
 
 
 def diagnostics(state: VlasovState):

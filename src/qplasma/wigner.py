@@ -22,15 +22,15 @@ and H (the spectral shift 2i sin(k lam/2) on the nodes lam >= 0) or on
 the grid and dt (the streaming phases exp(-i k v dt)) are built once and
 kept, read-only, in small functools.lru_cache helpers.
 
-A step keeps its spectra, mid-step f and kick factor in two work arrays
-cached per grid, so it allocates little beyond the array it returns; like
-vlasov.advect_v it is not reentrant across threads.
+A step keeps its spectra, mid-step f and kick factor in the two work
+arrays per grid that the vlasov module owns and vlasov.step shares
+(vlasov._work), so it allocates little beyond the array it returns; like
+vlasov.step it is not reentrant across threads.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -81,27 +81,13 @@ def _stream_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=4)
-def _scratch(grid: PhaseSpaceGrid):
-    """Two flat complex work arrays, each large enough for an rfft of an
-    (n_v, n_x) field over either axis: A holds a spectrum, B the mid-step f
-    of `step` (as a real view) and the kick factor."""
-    n_v, n_x = grid.n_v, grid.spatial.n_x
-    size = max((n_v // 2 + 1) * n_x, n_v * (n_x // 2 + 1))
-    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-
-
-def _work(grid: PhaseSpaceGrid, which: int, shape, dtype=complex):
-    """A `shape` view of `dtype` at the start of work array A (0) or B (1)."""
-    return _scratch(grid)[which].view(dtype)[:math.prod(shape)].reshape(shape)
-
-
 def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float,
              out: np.ndarray | None = None) -> np.ndarray:
     """Exact free streaming: phase shift exp(-i k v dt) per velocity row,
     written to `out` when given, else to a new array."""
     n_x = grid.spatial.n_x
-    fhat = np.fft.rfft(f, axis=1, out=_work(grid, 0, (grid.n_v, n_x // 2 + 1)))
+    fhat = np.fft.rfft(f, axis=1,
+                       out=_vlasov._work(grid, 0, (grid.n_v, n_x // 2 + 1)))
     fhat *= _stream_table(grid, dt)
     return np.fft.irfft(fhat, n=n_x, axis=1, out=out)
 
@@ -139,8 +125,8 @@ def potential_kick(f: np.ndarray, grid: PhaseSpaceGrid, H: float, dt: float,
     phase[-1] = 0.0
     # g is taken before the kick factor is written: f may be the mid-step
     # view of work array B, which the kick factor overwrites.
-    g = np.fft.rfft(f, axis=0, out=_work(grid, 0, phase.shape))
-    kick = _work(grid, 1, phase.shape)  # exp(i phase)
+    g = np.fft.rfft(f, axis=0, out=_vlasov._work(grid, 0, phase.shape))
+    kick = _vlasov._work(grid, 1, phase.shape)  # exp(i phase)
     np.cos(phase, out=kick.real)
     np.sin(phase, out=kick.imag)
     g *= kick
@@ -154,7 +140,7 @@ def step(state: WignerState, dt: float) -> WignerState:
     grid = state.grid
     # The mid-step f lives in work array B; the last half stream returns a
     # new array, the next state.
-    mid = _work(grid, 1, state.f.shape, float)
+    mid = _vlasov._work(grid, 1, state.f.shape, float)
     f = advect_x(state.f, grid, 0.5 * dt, out=mid)
     phi = poisson_periodic(np.sum(f, axis=0) * grid.dv, grid.spatial)
     f = potential_kick(f, grid, state.H, dt, phi, out=mid)

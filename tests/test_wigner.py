@@ -255,7 +255,7 @@ class TestWorkArrays:
         state = wigner.WignerState(f, grid, 1.0)
         outs.append(wigner.step(state, 0.05).f)
         assert np.array_equal(f, before)
-        held = [f, *outs, *wigner._scratch(grid)]
+        held = [f, *outs, *vlasov._scratch(grid)]
         for i, a in enumerate(outs):
             for b in held[:i + 1] + held[i + 2:]:
                 assert not np.shares_memory(a, b)
