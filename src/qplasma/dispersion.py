@@ -90,6 +90,11 @@ def _pole_integral(g, w: complex, k: float, v_lo: float, v_hi: float) -> complex
     support, whatever the sign of a zero imaginary part.  g(v0) = 0 skips
     L, so a real pole on a support edge stays finite; where g(v0) != 0 the
     integral diverges there and raises ZeroDivisionError.
+
+    quad calls the integrand on Python floats, about 31k times for one
+    finite-temperature root, so g must take a number without numpy's
+    per-call cost: `Equilibrium1D.f0` and `df0` evaluate numbers with
+    `math`/`cmath`.
     """
     v0 = complex(w) / k
     g0 = complex(g(v0))
@@ -227,6 +232,32 @@ def solve_root(model: DielectricModel, k: float,
     )
 
 
+def _least_squares(columns, b):
+    """Coefficients x minimizing |sum_j x_j columns[j] - b|, by modified
+    Gram-Schmidt on the columns scaled to unit norm (the small-K basis so
+    scaled has condition number 46), with b taken as one more column.
+    Only elementwise products and sums: the first LAPACK call in a process
+    (numpy.linalg, or @ on 2-D arrays) costs 0.15-1 MB of resident
+    memory."""
+    scales = [math.sqrt(np.sum(c * c)) for c in columns]
+    q = [c / s for c, s in zip(columns, scales)]
+    n = len(q)
+    r = [[0.0] * n for _ in range(n)]
+    rhs = []
+    for j in range(n):
+        for i in range(j):
+            r[i][j] = float(np.sum(q[i] * q[j]))
+            q[j] = q[j] - r[i][j] * q[i]
+        r[j][j] = math.sqrt(np.sum(q[j] * q[j]))
+        q[j] = q[j] / r[j][j]
+        rhs.append(float(np.sum(q[j] * b)))
+        b = b - rhs[j] * q[j]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (rhs[i] - sum(r[i][j] * x[j] for j in range(i + 1, n))) / r[i][i]
+    return [xi / s for xi, s in zip(x, scales)]
+
+
 def smallk_coefficients(model: DielectricModel, k_min: float = 0.02,
                         k_max: float = 0.2, n_k: int = 25):
     """Fit omega^2(K) = c0 + c2 K^2 + c4 K^4 to a k_scan's roots on a
@@ -239,12 +270,13 @@ def smallk_coefficients(model: DielectricModel, k_min: float = 0.02,
     """
     ks = np.geomspace(k_min, k_max, n_k)
     omega_sq = np.array([root.omega.real**2 for root in k_scan(model, ks)])
-    basis = np.vstack([np.ones_like(ks), ks**2, ks**4, ks**6]).T
-    coeffs, *_ = np.linalg.lstsq(basis, omega_sq, rcond=None)
-    resid = float(np.sqrt(np.mean((basis @ coeffs - omega_sq) ** 2)))
+    basis = [np.ones_like(ks), ks**2, ks**4, ks**6]
+    coeffs = _least_squares(basis, omega_sq)
+    fit = sum(c * column for c, column in zip(coeffs, basis))
+    resid = float(np.sqrt(np.mean((fit - omega_sq) ** 2)))
     if resid > 1e-6:
         raise ArithmeticError(f"small-K fit residual {resid:.3e} exceeds 1.0e-06")
-    return float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), resid
+    return coeffs[0], coeffs[1], coeffs[2], resid
 
 
 def k_scan(model: DielectricModel, k_values):

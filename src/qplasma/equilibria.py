@@ -10,6 +10,7 @@ hbar omega_p / (m v_F^2) = H / 2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,20 +29,38 @@ def hbar_eff(H: float) -> float:
 
 
 def _softplus(z):
-    """log(1 + exp(z)), overflow-safe, valid for complex z as well."""
-    z = np.asarray(z)
-    log1p = np.log1p if not np.iscomplexobj(z) else (lambda w: np.log(1.0 + w))
-    big = np.real(z) > 30.0
-    return np.where(big, z + log1p(np.exp(-np.where(big, z, 0.0))),
-                    log1p(np.exp(np.where(big, 0.0, z))))
+    """log(1 + exp(z)) of a real array, overflow-safe."""
+    big = z > 30.0
+    return np.where(big, z + np.log1p(np.exp(-np.where(big, z, 0.0))),
+                    np.log1p(np.exp(np.where(big, 0.0, z))))
 
 
 def _logistic(z):
-    """1 / (1 + exp(-z)), overflow-safe for complex z."""
-    z = np.asarray(z)
-    big = np.real(z) > 0.0
+    """1 / (1 + exp(-z)) of a real array, overflow-safe."""
+    big = z > 0.0
     ez = np.exp(np.where(big, -z, z))
     return np.where(big, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def _softplus_number(z):
+    """_softplus of one float or complex, by the branches numpy takes on a
+    0-d value: log1p of a float, log(1 + w) of a complex."""
+    if isinstance(z, complex):
+        if z.real > 30.0:
+            return z + cmath.log(1.0 + cmath.exp(-z))
+        return cmath.log(1.0 + cmath.exp(z))
+    if z > 30.0:
+        return z + math.log1p(math.exp(-z))
+    return math.log1p(math.exp(z))
+
+
+def _logistic_number(z):
+    """_logistic of one float or complex, split on the sign of Re z."""
+    exp = cmath.exp if isinstance(z, complex) else math.exp
+    if z.real > 0.0:
+        return 1.0 / (1.0 + exp(-z))
+    ez = exp(z)
+    return ez / (1.0 + ez)
 
 
 @dataclass(frozen=True)
@@ -60,37 +79,64 @@ class Equilibrium1D:
     mu: float = float("nan")
 
     def f0(self, v):
-        """Evaluate the distribution; accepts real arrays or complex scalars
-        (analytic continuation, used by the Landau-contour integrals).  A
-        compact profile continues as its inner polynomial wherever Re v
-        lies in the support, so the support test reads Re v, not |v|."""
-        # A scalar stays a numpy scalar.  numpy squares a scalar with pow()
-        # and an array with v * v, which can differ in the last bit, and
-        # the dispersion scans are kept bit-stable on the scalar path.
-        v = np.asarray(v)[()]
+        """Evaluate the distribution at a number or on a real array.
+
+        A number, float or complex (numpy scalars included), is evaluated
+        with `math`/`cmath`, and a Python number in gives a Python number
+        out: the Landau-contour integrals take f0 at thousands of numbers
+        per integral, where numpy's per-call cost would dominate.  Complex
+        numbers are the analytic continuation.  An array goes through numpy
+        and must be real.  A compact profile continues as its inner
+        polynomial wherever Re v lies in the support, so the support test
+        reads Re v, not |v|.  A number is squared with pow() and an array
+        as v * v, as numpy squares a 0-d value and an array; the two can
+        differ in the last bit, and the number path keeps pow() so that
+        the dispersion scans stay where the 0-d numpy path had them.
+        """
+        if isinstance(v, (float, complex)):
+            return self._f0_number(v)
+        v = np.asarray(v)
         if self.kind == WATERBAG:
-            return np.where(np.abs(np.real(v)) <= 1.0, 0.5, 0.0)
+            return np.where(np.abs(v) <= 1.0, 0.5, 0.0)
         if self.kind == PROJECTED_FD_T0:
-            return np.where(np.abs(np.real(v)) <= 1.0,
-                            0.75 * (1.0 - v ** 2), 0.0)
+            return np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v ** 2), 0.0)
         if self.kind == PROJECTED_FD:
             t = self.t_over_tf
-            z = (self.mu - v ** 2) / t
-            return 0.75 * t * _softplus(z)
+            return 0.75 * t * _softplus((self.mu - v ** 2) / t)
         raise ValueError(f"unknown equilibrium kind {self.kind!r}")
 
     def df0(self, v):
-        """df0/dv, analytic inside the support (complex-capable)."""
-        v = np.asarray(v)[()]  # scalars stay scalars, as in f0
+        """df0/dv, analytic inside the support; numbers and real arrays
+        as in f0."""
         if self.kind == WATERBAG:
             raise ValueError("water-bag derivative is distributional; "
                              "use the closed-form dielectric instead")
+        if isinstance(v, (float, complex)):
+            return self._df0_number(v)
+        v = np.asarray(v)
         if self.kind == PROJECTED_FD_T0:
-            return np.where(np.abs(np.real(v)) <= 1.0, -1.5 * v, 0.0)
+            return np.where(np.abs(v) <= 1.0, -1.5 * v, 0.0)
         if self.kind == PROJECTED_FD:
             t = self.t_over_tf
-            z = (self.mu - v ** 2) / t
-            return -1.5 * v * _logistic(z)
+            return -1.5 * v * _logistic((self.mu - v ** 2) / t)
+        raise ValueError(f"unknown equilibrium kind {self.kind!r}")
+
+    def _f0_number(self, v):
+        if self.kind == WATERBAG:
+            return 0.5 if abs(v.real) <= 1.0 else 0.0
+        if self.kind == PROJECTED_FD_T0:
+            return 0.75 * (1.0 - v ** 2) if abs(v.real) <= 1.0 else 0.0
+        if self.kind == PROJECTED_FD:
+            t = self.t_over_tf
+            return 0.75 * t * _softplus_number((self.mu - v ** 2) / t)
+        raise ValueError(f"unknown equilibrium kind {self.kind!r}")
+
+    def _df0_number(self, v):
+        if self.kind == PROJECTED_FD_T0:
+            return -1.5 * v if abs(v.real) <= 1.0 else 0.0
+        if self.kind == PROJECTED_FD:
+            t = self.t_over_tf
+            return -1.5 * v * _logistic_number((self.mu - v ** 2) / t)
         raise ValueError(f"unknown equilibrium kind {self.kind!r}")
 
     @property
@@ -252,7 +298,7 @@ def fd_stream_occupations(t_over_tf: float, mu: float, velocities) -> StreamSpec
     if t_over_tf == 0.0:
         raw = np.where(eps < mu, 1.0, np.where(eps == mu, 0.5, 0.0))
     else:
-        raw = np.real(_logistic((mu - eps) / t_over_tf))
+        raw = _logistic((mu - eps) / t_over_tf)
     total = raw.sum()
     if total == 0.0:
         raise ValueError("all occupations vanish; no stream below mu")

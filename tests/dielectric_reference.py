@@ -5,16 +5,83 @@ pole form of `qplasma.dispersion.eps_wigner`.  The forms here are
 independent routes to the same function: a difference form, the
 delta-comb limit and closed forms for the compact profiles.  The
 difference form takes its Landau integrals by the library's former rule,
-`pole_integral_pv`.  Normalized units as in `qplasma.dispersion`.
+`pole_integral_pv`.  `f0_numpy` and `df0_numpy` are the profiles as the
+library evaluated them before it took numbers through `math`/`cmath`, with
+numpy on 0-d values; `NumpyEquilibrium` hands them to the library's
+dielectric functions.  Normalized units as in `qplasma.dispersion`.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
+from qplasma.equilibria import (PROJECTED_FD, PROJECTED_FD_T0, WATERBAG,
+                                Equilibrium1D)
+
 _IM_TINY = 1e-7  # |Im v0| below which the principal-value branch is used
+
+
+def softplus_numpy(z):
+    """log(1 + exp(z)), overflow-safe, valid for complex z as well."""
+    z = np.asarray(z)
+    log1p = np.log1p if not np.iscomplexobj(z) else (lambda w: np.log(1.0 + w))
+    big = np.real(z) > 30.0
+    return np.where(big, z + log1p(np.exp(-np.where(big, z, 0.0))),
+                    log1p(np.exp(np.where(big, 0.0, z))))
+
+
+def logistic_numpy(z):
+    """1 / (1 + exp(-z)), overflow-safe for complex z."""
+    z = np.asarray(z)
+    big = np.real(z) > 0.0
+    ez = np.exp(np.where(big, -z, z))
+    return np.where(big, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def f0_numpy(eq, v):
+    """`Equilibrium1D.f0` by numpy: real arrays or complex scalars, a
+    scalar kept a numpy scalar (squared with pow(), an array with v * v)."""
+    v = np.asarray(v)[()]
+    if eq.kind == WATERBAG:
+        return np.where(np.abs(np.real(v)) <= 1.0, 0.5, 0.0)
+    if eq.kind == PROJECTED_FD_T0:
+        return np.where(np.abs(np.real(v)) <= 1.0,
+                        0.75 * (1.0 - v ** 2), 0.0)
+    if eq.kind == PROJECTED_FD:
+        t = eq.t_over_tf
+        z = (eq.mu - v ** 2) / t
+        return 0.75 * t * softplus_numpy(z)
+    raise ValueError(f"unknown equilibrium kind {eq.kind!r}")
+
+
+def df0_numpy(eq, v):
+    """`Equilibrium1D.df0` by numpy, as f0_numpy."""
+    v = np.asarray(v)[()]
+    if eq.kind == WATERBAG:
+        raise ValueError("water-bag derivative is distributional; "
+                         "use the closed-form dielectric instead")
+    if eq.kind == PROJECTED_FD_T0:
+        return np.where(np.abs(np.real(v)) <= 1.0, -1.5 * v, 0.0)
+    if eq.kind == PROJECTED_FD:
+        t = eq.t_over_tf
+        z = (eq.mu - v ** 2) / t
+        return -1.5 * v * logistic_numpy(z)
+    raise ValueError(f"unknown equilibrium kind {eq.kind!r}")
+
+
+@dataclass(frozen=True)
+class NumpyEquilibrium(Equilibrium1D):
+    """An equilibrium whose f0 and df0 are f0_numpy and df0_numpy, for the
+    library's dielectric functions to take the reference profile."""
+
+    def f0(self, v):
+        return f0_numpy(self, v)
+
+    def df0(self, v):
+        return df0_numpy(self, v)
 
 
 def pole_integral_pv(g, w, k, v_lo, v_hi):
@@ -130,3 +197,14 @@ def eps_wigner_t0(k, omega, H):
     a = H * k**2 / 4.0
     return 1.0 - (pole_integral_t0(omega - a, k)
                   - pole_integral_t0(omega + a, k)) / (2.0 * a)
+
+
+def use_numpy_profiles(monkeypatch):
+    """Make the library evaluate its profiles as it did before numbers went
+    through `math`/`cmath`: f0, df0 and the chemical-potential and
+    occupation helpers by the numpy bodies above."""
+    from qplasma import equilibria
+    monkeypatch.setattr(Equilibrium1D, "f0", f0_numpy)
+    monkeypatch.setattr(Equilibrium1D, "df0", df0_numpy)
+    monkeypatch.setattr(equilibria, "_softplus", softplus_numpy)
+    monkeypatch.setattr(equilibria, "_logistic", logistic_numpy)

@@ -14,10 +14,10 @@ from qplasma.dispersion import (MULTISTREAM, QUANTUM_FLUID, VLASOV_KINETIC,
 from qplasma.equilibria import (StreamSpec, projected_fd_finite_t,
                                 projected_fd_zero_t, waterbag_1d)
 
-from dielectric_reference import (eps_delta_comb, eps_vlasov_t0,
-                                  eps_wigner_shifted, eps_wigner_t0,
-                                  eps_wigner_waterbag, pole_integral_pv,
-                                  pole_integral_t0)
+from dielectric_reference import (NumpyEquilibrium, eps_delta_comb,
+                                  eps_vlasov_t0, eps_wigner_shifted,
+                                  eps_wigner_t0, eps_wigner_waterbag,
+                                  pole_integral_pv, pole_integral_t0)
 
 def random_points(n, seed=42, re_lo=0.3, re_hi=3.0, im_lo=0.05, im_hi=0.5):
     """Complex frequencies in the upper half plane plus wavenumbers;
@@ -240,6 +240,44 @@ class TestFiniteTemperaturePinnedValues:
         assert abs(eps_wigner(k, k * u, eq, H) - want) < 1e-11
 
 
+NUMBER_PATH_PROFILES = {"waterbag1d": waterbag_1d(),
+                        "fd3d_projected_T0": projected_fd_zero_t(),
+                        "fd3d_projected-1e-4": projected_fd_finite_t(1e-4),
+                        "fd3d_projected-0.01": projected_fd_finite_t(0.01),
+                        "fd3d_projected-1": projected_fd_finite_t(1.0)}
+
+
+def outcome(evaluate):
+    """The value, or the type of the exception raised."""
+    try:
+        return evaluate()
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("eq", NUMBER_PATH_PROFILES.values(),
+                         ids=NUMBER_PATH_PROFILES.keys())
+def test_eps_within_1e_12_of_the_numpy_profiles(eq):
+    # The library evaluates quad's nodes with math/cmath; the numpy bodies
+    # it replaced are the reference.  Upper half-plane, the real axis
+    # inside and beyond the support, Im omega down to -0.5 Re omega, and
+    # at T/T_F = 1e-4 the residue points beyond the support.
+    ref = NumpyEquilibrium(eq.kind, eq.t_over_tf, eq.mu)
+    us = (0.5 + 0.3j, 1.6 + 0.2j, 0.97, 1.03, 1.1 * eq.support,
+          1.02 - 0.3j, 1.0 - 0.5j)
+    points = [(k, k * u) for k in (0.3, 1.1, 1.9) for u in us]
+    if eq.t_over_tf == 1e-4:
+        points += [(0.3, 0.3 * (1.04 - 0.35j)), (1.0, 1.2 - 0.5j)]
+    for k, w in points:
+        for kind, eps in (("vlasov", lambda e: eps_vlasov(k, w, e)),
+                          ("wigner", lambda e: eps_wigner(k, w, e, 0.7))):
+            got, want = outcome(lambda: eps(eq)), outcome(lambda: eps(ref))
+            if isinstance(want, type):
+                assert got is want, (kind, k, w)
+            else:
+                assert abs(got - want) <= 1e-12, (kind, k, w)
+
+
 class TestStreamMixtures:
     def test_single_cold_stream_root_is_unit_frequency(self):
         spec = StreamSpec(probabilities=(1.0,), velocities=(0.0,))
@@ -420,3 +458,28 @@ class TestSmallKExpansion:
             resid.append(abs(root.omega.real**2 - fluid_omega_sq(k, H=1.0)))
         slope = np.polyfit(np.log(ks), np.log(resid), 1)[0]
         assert slope == pytest.approx(6.0, abs=0.3)
+
+    @pytest.mark.parametrize("model", [
+        DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d()),
+        DielectricModel(VLASOV_KINETIC, equilibrium=projected_fd_zero_t()),
+        DielectricModel(WIGNER_KINETIC, equilibrium=waterbag_1d(), H=1.0)],
+        ids=["vlasov-waterbag", "vlasov-t0", "wigner-waterbag"])
+    def test_fit_matches_lstsq_on_the_same_roots(self, model):
+        ks = np.geomspace(0.02, 0.2, 25)
+        omega_sq = np.array([r.omega.real**2 for r in k_scan(model, ks)])
+        basis = np.vstack([np.ones_like(ks), ks**2, ks**4, ks**6]).T
+        want, *_ = np.linalg.lstsq(basis, omega_sq, rcond=None)
+        got = smallk_coefficients(model)[:3]
+        assert np.max(np.abs(np.array(got) - want[:3])) <= 1e-10
+
+    def test_fit_calls_no_lapack(self, monkeypatch):
+        # The first LAPACK call in a process costs up to 1 MB of resident
+        # memory; the fit takes only elementwise products and sums.
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("lstsq", "solve", "qr", "svd", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        model = DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d())
+        c0, c2, c4, _ = smallk_coefficients(model)
+        assert (c0, c2, c4) == pytest.approx((1.0, 1.0, 0.0), abs=1e-4)

@@ -19,6 +19,8 @@ from qplasma.equilibria import (Perturbation, StreamSpec, _softplus,
                                 wigner_of_mixture)
 from qplasma.fields import PhaseSpaceGrid, SpatialGrid
 
+from dielectric_reference import df0_numpy, f0_numpy, use_numpy_profiles
+
 
 def density_moment(eq, lim=None):
     lim = lim if lim is not None else eq.support
@@ -192,6 +194,117 @@ class TestChemicalPotential:
         monkeypatch.setattr(equilibria, "_MU_MAX_STEPS", 1)
         with pytest.raises(ArithmeticError, match="did not converge"):
             projected_fd_finite_t(1.0)
+
+
+PROFILES = {"waterbag1d": waterbag_1d(),
+            "fd3d_projected_T0": projected_fd_zero_t(),
+            "fd3d_projected-1e-4": projected_fd_finite_t(1e-4),
+            "fd3d_projected-0.01": projected_fd_finite_t(0.01),
+            "fd3d_projected-1": projected_fd_finite_t(1.0)}
+
+
+def profile_functions(eq):
+    """(library, numpy reference) pairs of the profile's functions."""
+    pairs = [(eq.f0, f0_numpy)]
+    if eq.kind != "waterbag1d":  # its derivative is distributional
+        pairs.append((eq.df0, df0_numpy))
+    return pairs
+
+
+def z_is_30(eq, im):
+    """Re v > 0 at which Re z = (mu - Re v^2) / t is 30 for Im v = im, where
+    the softplus changes branch; None where no such v exists."""
+    if eq.kind != "fd3d_projected" or eq.mu - 30.0 * eq.t_over_tf <= 0.0:
+        return None
+    return math.sqrt(eq.mu - 30.0 * eq.t_over_tf + im * im)
+
+
+def real_velocities(eq):
+    """A dense grid over +-support, with |v| = 1 exactly and both sides of
+    z = 30."""
+    e = eq.support
+    v = list(np.linspace(-e, e, 4001))
+    v += [1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]
+    edge = z_is_30(eq, 0.0)
+    if edge is not None:
+        v += [s * edge * (1.0 + d) for s in (1.0, -1.0)
+              for d in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)]
+    return np.array(v)
+
+
+def complex_velocities(eq):
+    """Re v across +-1.2 support and |Re v| = 1, Im v from -0.5 to 0.3, and
+    both sides of Re z = 30."""
+    e = eq.support
+    re = list(np.linspace(-1.2 * e, 1.2 * e, 241))
+    re += [1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]
+    ims = (-0.5, -0.2, -1e-3, 0.0, 1e-3, 0.3)
+    v = [complex(a, b) for a in re for b in ims]
+    for b in ims:
+        edge = z_is_30(eq, b)
+        if edge is not None:
+            v += [complex(s * edge * (1.0 + d), b) for s in (1.0, -1.0)
+                  for d in (-1e-9, 0.0, 1e-9)]
+    return v
+
+
+@pytest.mark.parametrize("eq", PROFILES.values(), ids=PROFILES.keys())
+class TestNumberAndArrayPaths:
+    """f0 and df0 take a number through math/cmath and an array through
+    numpy.  The number path is checked against the numpy bodies it
+    replaced, on 0-d values (numpy squares those with pow(), like the
+    number path; an array it squares as v * v, which (mu - v^2) / t
+    amplifies to about 1000 ulp at T/T_F = 0.01)."""
+
+    def test_real_numbers_within_4_ulp_of_numpy(self, eq):
+        v = real_velocities(eq)
+        for fn, ref in profile_functions(eq):
+            got = np.array([fn(float(x)) for x in v])
+            want = np.array([float(ref(eq, x)) for x in v])
+            ulps = np.abs(got - want) / np.spacing(np.abs(want))
+            assert np.max(ulps) <= 4.0, fn.__name__
+
+    def test_complex_numbers_within_1e_10_of_numpy(self, eq):
+        for fn, ref in profile_functions(eq):
+            for v in complex_velocities(eq):
+                got, want = fn(v), complex(ref(eq, v))
+                assert abs(got - want) <= 1e-10 * abs(want), (fn.__name__, v)
+
+    def test_python_number_in_python_number_out(self, eq):
+        for fn, _ in profile_functions(eq):
+            for v in (0.3, 0.5 + 0.1j, 1.2 - 0.4j, 40.0):
+                out = fn(v)
+                assert type(out) in ((float,) if type(v) is float
+                                     else (float, complex)), (fn.__name__, v)
+
+    def test_array_path_is_the_numpy_path_bit_for_bit(self, eq):
+        v = real_velocities(eq)
+        for fn, ref in profile_functions(eq):
+            got, want = fn(v), ref(eq, v)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), fn.__name__
+
+    def test_initial_state_unchanged_bit_for_bit(self, eq, monkeypatch):
+        grid = PhaseSpaceGrid(SpatialGrid(4.0 * np.pi, 256), 6.0, 256)
+        pert = Perturbation(0.01, 0.5)
+        got = vlasov.initial_state(grid, eq, pert).f
+        use_numpy_profiles(monkeypatch)
+        assert np.array_equal(got, vlasov.initial_state(grid, eq, pert).f)
+
+
+def test_chemical_potential_and_occupations_unchanged_bit_for_bit(
+        monkeypatch):
+    temperatures = (1e-4, 1e-2, 1.0)
+    velocities = np.linspace(-2.0, 2.0, 17)
+
+    def solve():
+        return ([projected_fd_finite_t(t).mu for t in temperatures],
+                [fd_stream_occupations(t, mu, velocities)
+                 for t, mu in ((0.0, 1.0), (0.01, 1.0), (0.3, 0.9), (1.0, -0.02))])
+
+    got = solve()
+    use_numpy_profiles(monkeypatch)
+    assert got == solve()
 
 
 class TestOneDFermiVelocity:

@@ -13,6 +13,8 @@ from qplasma.config import (COMMON_KEYS, MODELS, ConfigError, ScenarioConfig,
                             parse_config)
 from qplasma.equilibria import stream_lattice_spec
 
+from dielectric_reference import use_numpy_profiles
+
 N_STEPS = 10
 
 SOLVERS = {"vlasov": vlasov, "wigner": wigner, "hartree": hartree,
@@ -153,6 +155,21 @@ def test_two_runs_of_one_config_write_identical_files(model, tmp_path):
     for name in names[0]:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("model", sorted(CONFIGS))
+def test_files_unchanged_by_the_number_path_of_the_profiles(
+        model, tmp_path, monkeypatch):
+    # Runs sample their profiles on arrays, which still go through numpy:
+    # every file equals, byte for byte, the run with the profiles evaluated
+    # by the numpy bodies that the math/cmath number path replaced.
+    cfg = CONFIGS[model]
+    new = simulate.write_outputs(cfg, simulate.run(cfg), tmp_path / "new")
+    use_numpy_profiles(monkeypatch)
+    old = simulate.write_outputs(cfg, simulate.run(cfg), tmp_path / "old")
+    assert [Path(p).name for p in new] == [Path(p).name for p in old]
+    for a, b in zip(new, old):
+        assert Path(a).read_bytes() == Path(b).read_bytes(), Path(a).name
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 3")
