@@ -49,6 +49,9 @@ class DielectricModel:
     H: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in (VLASOV_KINETIC, WIGNER_KINETIC, MULTISTREAM,
+                             QUANTUM_FLUID):
+            raise ValueError(f"unknown dielectric kind {self.kind!r}")
         if self.H < 0:
             raise ValueError("H must be nonnegative")
         if self.kind == VLASOV_KINETIC and self.H != 0.0:
@@ -65,9 +68,7 @@ class DielectricModel:
             return eps_wigner(k, omega, self.equilibrium, self.H)
         if self.kind == MULTISTREAM:
             return eps_multistream(k, omega, self.streams, self.H)
-        if self.kind == QUANTUM_FLUID:
-            return eps_fluid(k, omega, H=self.H)
-        raise ValueError(f"unknown dielectric kind {self.kind!r}")
+        return eps_fluid(k, omega, H=self.H)
 
 
 @dataclass(frozen=True)

@@ -71,73 +71,67 @@ class Equilibrium1D:
     Velocities are in units of v_F, the distribution in units of n0 / v_F,
     so the Fermi velocity and the density are both 1.  For the
     finite-temperature projected distribution, `t_over_tf` and the solved
-    chemical potential `mu` (in units of E_F) are set.
+    chemical potential `mu` (in units of E_F) are set.  Both the kind and
+    these two are checked when the profile is built.
     """
 
     kind: str
     t_over_tf: float = 0.0
     mu: float = float("nan")
 
+    def __post_init__(self):
+        if self.kind not in (WATERBAG, PROJECTED_FD_T0, PROJECTED_FD):
+            raise ValueError(f"unknown equilibrium kind {self.kind!r}")
+        if self.kind == PROJECTED_FD and not (
+                0.0 < self.t_over_tf <= 1.0 and math.isfinite(self.mu)):
+            raise ValueError(f"{PROJECTED_FD} needs t_over_tf in (0, 1] and "
+                             "a finite mu: use projected_fd_finite_t")
+
     def f0(self, v):
         """Evaluate the distribution at a number or on a real array.
 
-        A number, float or complex (numpy scalars included), is evaluated
-        with `math`/`cmath`, and a Python number in gives a Python number
-        out: the Landau-contour integrals take f0 at thousands of numbers
-        per integral, where numpy's per-call cost would dominate.  Complex
-        numbers are the analytic continuation.  An array goes through numpy
-        and must be real.  A compact profile continues as its inner
-        polynomial wherever Re v lies in the support, so the support test
-        reads Re v, not |v|.  A number is squared with pow() and an array
-        as v * v, as numpy squares a 0-d value and an array; the two can
-        differ in the last bit, and the number path keeps pow() so that
-        the dispersion scans stay where the 0-d numpy path had them.
+        One body serves both.  A number, float or complex (numpy scalars
+        included), takes the `math`/`cmath` helpers, and a Python number in
+        gives a Python number out: the Landau-contour integrals take f0 at
+        thousands of numbers per integral, where numpy's per-call cost
+        would dominate.  Complex numbers are the analytic continuation.  An
+        array takes the numpy helpers and must be real.  A compact profile
+        continues as its inner polynomial wherever Re v lies in the
+        support, so a number's support test reads Re v and returns 0.0
+        beyond it before the polynomial is evaluated; an array's is an
+        np.where on |v|.  numpy squares an array as v * v and a number
+        with pow(); the two can differ in the last bit.
         """
-        if isinstance(v, (float, complex)):
-            return self._f0_number(v)
-        v = np.asarray(v)
-        if self.kind == WATERBAG:
-            return np.where(np.abs(v) <= 1.0, 0.5, 0.0)
-        if self.kind == PROJECTED_FD_T0:
-            return np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v ** 2), 0.0)
+        number = isinstance(v, (float, complex))
+        if not number:
+            v = np.asarray(v)
         if self.kind == PROJECTED_FD:
             t = self.t_over_tf
-            return 0.75 * t * _softplus((self.mu - v ** 2) / t)
-        raise ValueError(f"unknown equilibrium kind {self.kind!r}")
+            softplus = _softplus_number if number else _softplus
+            return 0.75 * t * softplus((self.mu - v ** 2) / t)
+        # `not <=`: a NaN lies outside the support, as in np.where below.
+        if number and not abs(v.real) <= 1.0:
+            return 0.0
+        value = 0.5 if self.kind == WATERBAG else 0.75 * (1.0 - v ** 2)
+        return value if number else np.where(np.abs(v) <= 1.0, value, 0.0)
 
     def df0(self, v):
         """df0/dv, analytic inside the support; numbers and real arrays
-        as in f0."""
+        through one body, as in f0."""
         if self.kind == WATERBAG:
             raise ValueError("water-bag derivative is distributional; "
                              "use the closed-form dielectric instead")
-        if isinstance(v, (float, complex)):
-            return self._df0_number(v)
-        v = np.asarray(v)
-        if self.kind == PROJECTED_FD_T0:
-            return np.where(np.abs(v) <= 1.0, -1.5 * v, 0.0)
+        number = isinstance(v, (float, complex))
+        if not number:
+            v = np.asarray(v)
         if self.kind == PROJECTED_FD:
             t = self.t_over_tf
-            return -1.5 * v * _logistic((self.mu - v ** 2) / t)
-        raise ValueError(f"unknown equilibrium kind {self.kind!r}")
-
-    def _f0_number(self, v):
-        if self.kind == WATERBAG:
-            return 0.5 if abs(v.real) <= 1.0 else 0.0
-        if self.kind == PROJECTED_FD_T0:
-            return 0.75 * (1.0 - v ** 2) if abs(v.real) <= 1.0 else 0.0
-        if self.kind == PROJECTED_FD:
-            t = self.t_over_tf
-            return 0.75 * t * _softplus_number((self.mu - v ** 2) / t)
-        raise ValueError(f"unknown equilibrium kind {self.kind!r}")
-
-    def _df0_number(self, v):
-        if self.kind == PROJECTED_FD_T0:
-            return -1.5 * v if abs(v.real) <= 1.0 else 0.0
-        if self.kind == PROJECTED_FD:
-            t = self.t_over_tf
-            return -1.5 * v * _logistic_number((self.mu - v ** 2) / t)
-        raise ValueError(f"unknown equilibrium kind {self.kind!r}")
+            logistic = _logistic_number if number else _logistic
+            return -1.5 * v * logistic((self.mu - v ** 2) / t)
+        if number and not abs(v.real) <= 1.0:
+            return 0.0
+        slope = -1.5 * v
+        return slope if number else np.where(np.abs(v) <= 1.0, slope, 0.0)
 
     @property
     def support(self) -> float:
@@ -252,13 +246,9 @@ def projected_fd_finite_t(t_over_tf: float = 0.05) -> Equilibrium1D:
 
 def make_equilibrium(name: str, t_over_tf: float = 0.0) -> Equilibrium1D:
     """Equilibrium factory keyed by the scenario-config names."""
-    if name == WATERBAG:
-        return waterbag_1d()
-    if name == PROJECTED_FD_T0:
-        return projected_fd_zero_t()
     if name == PROJECTED_FD:
         return projected_fd_finite_t(t_over_tf=t_over_tf)
-    raise ValueError(f"unknown equilibrium {name!r}")
+    return Equilibrium1D(kind=name)
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,8 @@ def step(state: VlasovState, dt: float) -> VlasovState:
     accel = spectral_derivative(phi, grid.spatial)
     f = advect_v(f, grid, accel, dt, out=mid)
     f = advect_x(f, grid, 0.5 * dt)
+    if not np.all(np.isfinite(f)):
+        raise FloatingPointError("non-finite values in f")
     return VlasovState(f, grid)
 
 

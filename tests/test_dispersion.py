@@ -413,6 +413,8 @@ class TestRootSolver:
         assert not root.ordering_ok
 
     def test_model_construction_validation(self):
+        with pytest.raises(ValueError, match="unknown dielectric kind"):
+            DielectricModel("bogus")
         with pytest.raises(ValueError):
             DielectricModel(VLASOV_KINETIC)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 transform of wavefunction mixtures."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy.optimize import brentq
 from qplasma import equilibria, vlasov
 from qplasma.config import EQUILIBRIA
 from qplasma.constants import ELECTRON_MASS, HBAR
-from qplasma.equilibria import (Perturbation, StreamSpec, _softplus,
-                                fd_stream_occupations,
+from qplasma.equilibria import (Equilibrium1D, Perturbation, StreamSpec,
+                                _softplus, fd_stream_occupations,
                                 hbar_eff, make_equilibrium,
                                 plane_wave_mixture, projected_fd_finite_t,
                                 projected_fd_zero_t, waterbag_1d,
@@ -290,6 +291,52 @@ class TestNumberAndArrayPaths:
         got = vlasov.initial_state(grid, eq, pert).f
         use_numpy_profiles(monkeypatch)
         assert np.array_equal(got, vlasov.initial_state(grid, eq, pert).f)
+
+
+@pytest.mark.parametrize("eq", PROFILES.values(), ids=PROFILES.keys())
+def test_a_number_enters_at_most_two_python_frames(eq):
+    # The Landau integrals evaluate the profiles at about 31k numbers per
+    # finite-temperature root, so each Python call per number counts: f0
+    # or df0 itself and at most one math/cmath helper.
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    for fn, _ in profile_functions(eq):
+        for v in (0.3, 1.5, 0.5 + 0.1j, 1.2 - 0.4j):
+            calls.clear()
+            sys.setprofile(count)
+            try:
+                fn(v)
+            finally:
+                sys.setprofile(None)
+            assert len(calls) <= 2, (v, calls)
+
+
+class TestConstruction:
+    """The kind and a finite-temperature profile's parameters are checked
+    when an Equilibrium1D is built, not when it is first evaluated."""
+
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown equilibrium kind"):
+            Equilibrium1D("bogus")
+
+    @pytest.mark.parametrize("t, mu", [(0.01, math.nan), (0.01, math.inf),
+                                       (0.0, 0.99), (1.5, 0.5),
+                                       (math.nan, 0.99)])
+    def test_an_unsolved_finite_t_profile_is_refused(self, t, mu):
+        with pytest.raises(ValueError, match="projected_fd_finite_t"):
+            Equilibrium1D("fd3d_projected", t, mu)
+
+    def test_the_default_mu_is_unsolved(self):
+        with pytest.raises(ValueError):
+            Equilibrium1D("fd3d_projected", 0.01)
+
+    def test_a_solved_profile_rebuilds_from_its_fields(self):
+        eq = projected_fd_finite_t(0.01)
+        assert Equilibrium1D(eq.kind, eq.t_over_tf, eq.mu) == eq
 
 
 def test_chemical_potential_and_occupations_unchanged_bit_for_bit(

@@ -233,8 +233,9 @@ class TestScratchBuffers:
     def test_a_step_allocates_little_beyond_its_output(self):
         # The 256x256 acceptance set-up.  The spectra, the mid-step f and
         # advect_v's coefficients live in cached arrays, so the peak is the
-        # step's output, about 1.0 f.nbytes (7.4 with every array made
-        # afresh, 3.0 with only advect_v's scratch cached).
+        # step's output and the boolean mask of its finiteness check, about
+        # 1.1 f.nbytes (7.4 with every array made afresh, 3.0 with only
+        # advect_v's scratch cached).
         cfg = ScenarioConfig(model="vlasov", n_x=256, n_v=256)
         state = vlasov.step(simulate.build_initial(cfg), cfg.dt)  # warm-up
         tracemalloc.start()
@@ -372,6 +373,24 @@ class TestStep:
         grid = make_grid(n_x=32, n_v=64)
         state = vlasov.initial_state(grid, projected_fd_zero_t())
         state.f[20, 5] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            vlasov.step(state, 0.05)
+
+    def test_a_non_finite_result_stops_the_step_that_made_it(
+            self, monkeypatch):
+        # One NaN from the acceleration: the last half stream spreads it
+        # along its row, and the step must raise rather than return it.
+        advect_v = vlasov.advect_v
+
+        def one_nan(*args, **kwargs):
+            out = advect_v(*args, **kwargs)
+            out[20, 5] = np.nan
+            return out
+
+        grid = make_grid(n_x=32, n_v=64)
+        state = vlasov.initial_state(grid, projected_fd_zero_t(),
+                                     Perturbation(0.01, 1.0))
+        monkeypatch.setattr(vlasov, "advect_v", one_nan)
         with pytest.raises(FloatingPointError, match="non-finite"):
             vlasov.step(state, 0.05)
 
