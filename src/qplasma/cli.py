@@ -39,8 +39,12 @@ def cmd_params(args) -> int:
         print("error: give --material or both --density and --temperature",
               file=sys.stderr)
         return 2
-    cond = PhysicalConditions(number_density=density,
-                              temperature=temperature)
+    try:
+        cond = PhysicalConditions(number_density=density,
+                                  temperature=temperature)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     scales = compute_scales(cond)
     group = compute_dimensionless(cond)
     regime = classify_regime(group)
@@ -101,15 +105,21 @@ def cmd_dispersion(args) -> int:
 
 
 def _load_configs(paths, overrides):
-    """The parsed config of each file, or None after printing the problems
-    of the first file that has any."""
+    """The parsed config of each file, or None after printing why the first
+    file that cannot be read or parsed was refused."""
+    cfgs = []
     try:
-        return [parse_config(Path(path).read_text(), overrides)
-                for path in paths]
+        for path in paths:
+            cfgs.append(parse_config(Path(path).read_text(), overrides))
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        print(f"config error: {path}: {reason}", file=sys.stderr)
+        return None
     except ConfigError as err:
         for p in err.problems:
             print(f"config error: {p}", file=sys.stderr)
         return None
+    return cfgs
 
 
 def cmd_run(args) -> int:

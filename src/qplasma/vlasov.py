@@ -23,22 +23,23 @@ a 2D interpolation:
   padding and boundary rule of scipy.ndimage's "grid-constant" mode (12
   zero rows, zero coefficients beyond them).  They are held transposed,
   indexed [i_x, i_v], so the prefilter runs along the contiguous axis and
-  each column of f is one contiguous row of coefficients.  Each column is
-  gathered with its own four weights, one flat np.take per tap at stride
-  1.  A column whose foot lies within the padding reads only its own row;
-  one that moves farther is gathered again with its taps clipped to the
-  zero ends of its row, so a tap beyond the box reads a zero however far
-  or unevenly the columns move.
+  each column of f is one contiguous row of coefficients.  The n_v + 3
+  coefficients a column's taps read are copied into a window indexed
+  [i_v, i_x], one slice per run of columns whose feet share a floor, and
+  the four taps are summed from the window's rows straight into the
+  result.  A run whose foot lies beyond the padding reads clipped
+  indices, the zero ends of its rows, so a tap beyond the box reads a
+  zero however far or unevenly the columns move.
 
 A step keeps its intermediates in two flat complex work arrays cached per
 grid, which wigner.step shares: A holds the rfft spectrum of a half stream
-and, as a real view, advect_v's taps indexed [i_x, i_v]; B holds the
-mid-step f as a real view, which the first half stream writes and the
-acceleration overwrites.  The last half stream returns a new array, the
-next state.  advect_v's coefficients, gather index and product buffer are
-cached per grid on their own, so a Wigner run never builds them.  A step
-therefore allocates little beyond the array it returns, and none of this
-is reentrant across threads; the library is single-threaded.
+and, as a real view, advect_v's products of one tap; B holds the mid-step
+f as a real view, which the first half stream writes and the acceleration
+overwrites.  The last half stream returns a new array, the next state.
+advect_v's coefficients and window are cached per grid on their own, so a
+Wigner run never builds them.  A step therefore allocates little beyond
+the array it returns, and none of this is reentrant across threads; the
+library is single-threaded.
 
 Each kernel equals the 2D scipy.ndimage.map_coordinates interpolation with
 the same modes to round-off; tests/test_vlasov.py keeps that interpolation
@@ -121,8 +122,9 @@ def _x_shift_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
 def _scratch(grid: PhaseSpaceGrid):
     """Two flat complex work arrays of the phase-space steps on `grid`, each
     large enough for an rfft of an (n_v, n_x) field over either axis.  A
-    holds a spectrum or, as a real view, advect_v's taps; B holds the
-    mid-step f of a step (as a real view) and wigner's kick factor."""
+    holds a spectrum or, as a real view, advect_v's products of one tap; B
+    holds the mid-step f of a step (as a real view) and wigner's kick
+    factor."""
     n_v, n_x = grid.n_v, grid.spatial.n_x
     size = max((n_v // 2 + 1) * n_x, n_v * (n_x // 2 + 1))
     return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
@@ -135,13 +137,12 @@ def _work(grid: PhaseSpaceGrid, which: int, shape, dtype=complex):
 
 @functools.lru_cache(maxsize=4)
 def _v_scratch(grid: PhaseSpaceGrid):
-    """advect_v's own arrays on `grid`, indexed [i_x, i_v]: the spline
-    coefficients with one zero column beyond each end, a flat gather index
-    and one product buffer."""
+    """advect_v's own arrays on `grid`: the spline coefficients indexed
+    [i_x, i_v], with one zero column beyond each end, and the window of
+    n_v + 3 coefficients each column's taps read, indexed [i_v, i_x]."""
     n_v, n_x = grid.n_v, grid.spatial.n_x
     return (np.zeros((n_x, n_v + 2 * _PREFILTER_PAD + 2)),
-            np.empty((n_x, n_v), dtype=np.intp),
-            np.empty((n_x, n_v)))
+            np.empty((n_v + 3, n_x)))
 
 
 def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float,
@@ -161,11 +162,10 @@ def advect_v(f: np.ndarray, grid: PhaseSpaceGrid, accel: np.ndarray,
     array."""
     n_v, n_x = f.shape
     pad = _PREFILTER_PAD
-    coeffs, index, prod = _v_scratch(grid)
-    width = coeffs.shape[1]
+    coeffs, window = _v_scratch(grid)
     foot = -accel * dt / grid.dv  # row offset of each column's foot
     first = np.floor(foot)
-    weights = _spline_taps(foot - first)[:, :, None]  # (4, n_x, 1)
+    weights = _spline_taps(foot - first)  # (4, n_x)
     # A foot this far out reads only zeros; clipping keeps the index
     # arithmetic small, and a non-finite acceleration keeps its non-finite
     # weights.
@@ -178,34 +178,22 @@ def advect_v(f: np.ndarray, grid: PhaseSpaceGrid, accel: np.ndarray,
     coeffs[:, pad + 1 + n_v:-1] = 0.0
     box = coeffs[:, 1:-1]
     spline_filter1d(box, axis=1, mode="grid-constant", output=box)
-    # Flat index of tap 0 of taps[i, j]: velocity row j + first[i] - 1 of
-    # column i, with first clipped so that every tap stays in row i.  That
-    # is exact for a foot within the padding; a column whose foot is
-    # farther out is gathered again below, its taps clipped to the zero
-    # ends of its row.  Every index is in range; mode="clip" only skips
-    # the bounds check.
-    near = np.clip(first, -pad, pad - 1).astype(np.intp) + pad
-    np.add((np.arange(0, n_x * width, width) + near)[:, None],
-           np.arange(n_v), out=index)
-    flat = coeffs.reshape(-1)
-    taps = np.take(flat, index, mode="clip",
-                   out=_work(grid, 0, index.shape, float))
-    taps *= weights[0]
+    # Tap q of velocity row j of column i is coeffs[i, start[i] + j + q],
+    # so window[j + q, i] holds it.  Columns of equal start are copied by
+    # runs, one slice each.  A run whose window leaves the row (a foot
+    # beyond the padding) reads clipped indices, the zero end columns.
+    start = first.astype(np.intp) + pad
+    cuts = [0, *(np.flatnonzero(np.diff(start)) + 1).tolist(), n_x]
+    for lo, hi, s in zip(cuts, cuts[1:], start[cuts[:-1]].tolist()):
+        if 0 <= s < 2 * pad:
+            window[:, lo:hi] = coeffs[lo:hi, s:s + n_v + 3].T
+        else:
+            window[:, lo:hi] = np.take(coeffs[lo:hi], range(s, s + n_v + 3),
+                                       axis=1, mode="clip").T
+    prod = _work(grid, 0, f.shape, float)
+    out = np.multiply(window[:n_v], weights[0], out=out)
     for q in range(1, 4):
-        index += 1
-        taps += np.multiply(np.take(flat, index, mode="clip", out=prod),
-                            weights[q], out=prod)
-    far = np.flatnonzero((first < -pad) | (first >= pad))
-    if far.size:
-        rows = np.clip(first[far].astype(np.intp)[:, None] + pad
-                       + np.arange(n_v + 3), 0, width - 1)
-        window = coeffs[far[:, None], rows]
-        taps[far] = window[:, :n_v] * weights[0, far]
-        for q in range(1, 4):
-            taps[far] += window[:, q:q + n_v] * weights[q, far]
-    if out is None:
-        return np.ascontiguousarray(taps.T)
-    np.copyto(out, taps.T)
+        out += np.multiply(window[q:q + n_v], weights[q], out=prod)
     return out
 
 

@@ -298,6 +298,20 @@ class TestParamsCommand:
         rc = cli.main(["params", "--density", "1e28"])
         assert rc == 2
 
+    @pytest.mark.parametrize("density, temperature, name, shown", [
+        ("-1", "300", "number_density", "-1.0"),
+        ("1e28", "0", "temperature", "0.0"),
+        ("nan", "300", "number_density", "nan")])
+    def test_unphysical_conditions_are_an_error_line(
+            self, capsys, density, temperature, name, shown):
+        rc = cli.main(["params", "--density", density,
+                       "--temperature", temperature])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {name} must be strictly positive, "
+                                f"got {shown}\n")
+        assert captured.out == ""
+
 
 class TestDispersionCommand:
     def test_flat_top_scan_satisfies_the_closed_form(self, tmp_path, capsys):
@@ -443,6 +457,24 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.cfg", "No such file or directory"),
+        ("", "Is a directory"),
+        ("binary.cfg", "'utf-8' codec can't decode byte 0xff in position "
+                       "15: invalid start byte")])
+    def test_an_unreadable_config_is_an_error_line(self, tmp_path, capsys,
+                                                   name, reason):
+        path = tmp_path / name
+        if name == "binary.cfg":
+            path.write_bytes(b"model = vlasov\n\xff\xfe\n")
+        rc = cli.main(["run", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {path}: {reason}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompareCommand:
     def write_pair(self, tmp_path):
@@ -483,6 +515,17 @@ class TestCompareCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: line 9: gamma must be at least 1, "
                        "got 0.5"]
+        assert not out.exists()
+
+    def test_an_unreadable_config_is_an_error_line(self, tmp_path, capsys):
+        a, _ = self.write_pair(tmp_path)
+        missing = tmp_path / "missing.cfg"
+        out = tmp_path / "cmp"
+        rc = cli.main(["compare", str(a), str(missing), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: {missing}: "
+                                "No such file or directory\n")
         assert not out.exists()
 
     def test_mismatched_grids_are_refused(self, tmp_path, capsys):

@@ -67,6 +67,41 @@ def gather_advect_v(f, grid, accel, dt):
     return np.ascontiguousarray(out.T)
 
 
+def take_advect_v(f, grid, accel, dt):
+    """The v-advection kernel before the column windows: coefficients
+    indexed [i_x, i_v], one flat np.take per tap into taps indexed
+    [i_x, i_v], the columns whose foot lies beyond the padding gathered
+    again with clipped taps, and the taps transposed at the end.  The
+    windows keep its bits."""
+    n_v, n_x = f.shape
+    pad = vlasov._PREFILTER_PAD
+    foot = -accel * dt / grid.dv
+    first = np.floor(foot)
+    weights = vlasov._spline_taps(foot - first)[:, :, None]  # (4, n_x, 1)
+    first = np.clip(np.nan_to_num(first), -(n_v + pad + 2), n_v + pad + 1)
+    coeffs = np.zeros((n_x, n_v + 2 * pad + 2))
+    coeffs[:, pad + 1:pad + 1 + n_v] = f.T
+    box = coeffs[:, 1:-1]
+    spline_filter1d(box, axis=1, mode="grid-constant", output=box)
+    width = coeffs.shape[1]
+    near = np.clip(first, -pad, pad - 1).astype(np.intp) + pad
+    index = (np.arange(0, n_x * width, width) + near)[:, None] + np.arange(n_v)
+    flat = coeffs.reshape(-1)
+    taps = np.take(flat, index, mode="clip") * weights[0]
+    for q in range(1, 4):
+        index += 1
+        taps += np.take(flat, index, mode="clip") * weights[q]
+    far = np.flatnonzero((first < -pad) | (first >= pad))
+    if far.size:
+        rows = np.clip(first[far].astype(np.intp)[:, None] + pad
+                       + np.arange(n_v + 3), 0, width - 1)
+        window = coeffs[far[:, None], rows]
+        taps[far] = window[:, :n_v] * weights[0, far]
+        for q in range(1, 4):
+            taps[far] += window[:, q:q + n_v] * weights[q, far]
+    return np.ascontiguousarray(taps.T)
+
+
 def total_mass(state):
     return float(np.sum(state.f)) * state.grid.dv * state.grid.spatial.dx
 
@@ -364,6 +399,114 @@ class TestWorkArrays:
             wigner.diagnostics(state)
         assert vlasov._v_scratch.cache_info().currsize == 0
         assert vlasov._scratch.cache_info().currsize > 0
+
+
+def feet(kind, n_x):
+    """Feet of the columns' characteristics, in cells, for each layout of
+    runs of equal floor that advect_v's column windows must handle."""
+    pad = vlasov._PREFILTER_PAD
+    i = np.arange(n_x)
+    frac = np.random.default_rng(11).uniform(0.05, 0.95, n_x)
+    # Floors whose window starts at the lowest and at the highest column
+    # that keeps it within its row, and one column beyond each.
+    edges = np.array([-pad, pad - 1, -pad - 1, pad])
+    return {"one run": frac - 3.0,
+            "a few runs": np.floor(2.5 * np.sin(2 * np.pi * i / n_x)) + frac,
+            "every column its own run": (-pad + i * 5 % (2 * pad)) + frac,
+            "edge runs": edges[i * 4 // n_x] + frac,
+            "edge columns": edges[i % 4] + frac}[kind]
+
+
+class TestColumnWindows:
+    # advect_v copies each run of columns of equal foot floor as one window
+    # slice; every layout of runs keeps the bits of the three earlier
+    # kernels.
+    REFERENCES = (take_advect_v, gather_advect_v, fresh_advect_v)
+    KINDS = ("one run", "a few runs", "every column its own run",
+             "edge runs", "edge columns")
+
+    @staticmethod
+    def accel(foot, grid, dt):
+        return -foot * grid.dv / dt
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_layout_of_runs_keeps_the_bits(self, grid, kind):
+        f = np.random.default_rng(12).random((grid.n_v, grid.spatial.n_x))
+        foot = feet(kind, grid.spatial.n_x)
+        accel = self.accel(foot, grid, 0.05)
+        first = np.floor(-accel * 0.05 / grid.dv)
+        assert np.array_equal(first, np.floor(foot))
+        runs = 1 + np.count_nonzero(np.diff(first))
+        assert runs == {"one run": 1, "every column its own run":
+                        grid.spatial.n_x, "edge runs": 4,
+                        "edge columns": grid.spatial.n_x}.get(kind, runs)
+        got = vlasov.advect_v(f, grid, accel, 0.05)
+        for reference in self.REFERENCES:  # signs of zero included
+            assert got.tobytes() == reference(f, grid, accel, 0.05).tobytes()
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    def test_non_finite_columns_keep_the_bits(self, grid):
+        n_v, n_x = grid.n_v, grid.spatial.n_x
+        rng = np.random.default_rng(13)
+        f = rng.random((n_v, n_x))
+        f[[3, 9], 1], f[5, 4], f[0, 6] = np.nan, np.inf, -np.inf
+        accel = self.accel(feet("a few runs", n_x), grid, 0.05)
+        accel[[2, 7, 8]] = np.nan, np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            got = vlasov.advect_v(f, grid, accel, 0.05)
+            for reference in self.REFERENCES:
+                assert np.array_equal(got, reference(f, grid, accel, 0.05),
+                                      equal_nan=True)
+        spoilt = np.zeros(n_x, dtype=bool)
+        spoilt[[1, 2, 4, 6, 7, 8]] = True
+        assert not np.any(np.isfinite(got[:, [2, 7, 8]]))
+        assert np.all(np.isfinite(got[:, ~spoilt]))
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_may_be_the_input(self, grid, kind):
+        f = np.random.default_rng(14).random((grid.n_v, grid.spatial.n_x))
+        accel = self.accel(feet(kind, grid.spatial.n_x), grid, 0.05)
+        want = take_advect_v(f, grid, accel, 0.05)
+        assert vlasov.advect_v(f, grid, accel, 0.05, out=f) is f
+        assert f.tobytes() == want.tobytes()
+
+    def test_the_scratch_holds_no_gather_index(self):
+        grid = KERNEL_GRIDS[0]
+        f = np.random.default_rng(15).random((grid.n_v, grid.spatial.n_x))
+        vlasov.advect_v(f, grid, np.ones(grid.spatial.n_x), 0.05)
+        held = vlasov._v_scratch(grid)
+        assert not any(np.issubdtype(a.dtype, np.integer) for a in held)
+
+    @pytest.mark.parametrize("kind", [None, "every column its own run"])
+    def test_a_warm_call_allocates_almost_nothing(self, kind):
+        # The 256x256 acceptance state, with its own field or with every
+        # column its own run: the taps are summed straight into `out`.  A
+        # ufunc that broadcasts, as the multiply by each tap's weights
+        # does, takes an iterator buffer of np.getbufsize() elements from
+        # numpy 2.3 on (64 KB here); the arrays of the call itself stay
+        # under 0.1 f.nbytes.  The flat takes peaked at 0.29 f.nbytes,
+        # their buffer included.
+        cfg = ScenarioConfig(model="vlasov", n_x=256, n_v=256)
+        state = simulate.build_initial(cfg)
+        grid = state.grid
+        if kind is None:
+            phi = poisson_periodic(np.sum(state.f, axis=0) * grid.dv,
+                                   grid.spatial)
+            accel = spectral_derivative(phi, grid.spatial)
+        else:
+            accel = self.accel(feet(kind, grid.spatial.n_x), grid, cfg.dt)
+        out = np.empty_like(state.f)
+        vlasov.advect_v(state.f, grid, accel, cfg.dt, out=out)  # warm-up
+        tracemalloc.start()
+        try:
+            vlasov.advect_v(state.f, grid, accel, cfg.dt, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = np.getbufsize() * state.f.itemsize
+        assert peak <= 0.1 * state.f.nbytes + buffer
 
 
 class TestStep:
