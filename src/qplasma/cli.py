@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate
-from .config import COMMON_KEYS, EQUILIBRIA, MODELS, ConfigError, parse_config
+from .config import EQUILIBRIA, ConfigError, parse_config, read_keys
 from .diagio import format_table
 from .dispersion import (QUANTUM_FLUID, VLASOV_KINETIC, WIGNER_KINETIC,
                          DielectricModel, k_scan)
@@ -140,9 +140,9 @@ def cmd_compare(args) -> int:
         return 2
     cfg_a, cfg_b = cfgs
     # The discretization keys both models read (only phase space has n_v).
-    shared = set(MODELS[cfg_a.model]) & set(MODELS[cfg_b.model]) | set(COMMON_KEYS)
     mismatched = [k for k in ("k", "n_x", "dt", "t_end", "output_every", "n_v", "v_max")
-                  if k in shared and getattr(cfg_a, k) != getattr(cfg_b, k)]
+                  if getattr(cfg_a, k) != getattr(cfg_b, k)
+                  and all(k in read_keys(c.model, c.equilibrium) for c in cfgs)]
     if mismatched:
         print(f"error: configs differ in grid/time keys {mismatched}; "
               "compare requires matching discretization", file=sys.stderr)

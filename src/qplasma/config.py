@@ -17,17 +17,15 @@ from .equilibria import (PROJECTED_FD, PROJECTED_FD_T0, WATERBAG,
                          stream_lattice_spec)
 from .fields import SpatialGrid
 from .qfluid import check_splitstep_resonance
+from .simulate import MODELS
 
-# The keys every model reads, and (MODELS) the keys each model reads beyond
-# them; of the equilibria only PROJECTED_FD reads t_over_tf (read_keys).  A
-# config sets no other key, so its text and hash hold exactly what its model
-# runs; the keys it cannot set stay at their defaults.
+# The keys every model reads; each row of simulate.MODELS lists the keys its
+# model reads beyond them, and of the equilibria only PROJECTED_FD reads
+# t_over_tf (read_keys).  A config sets no other key, so its text and hash
+# hold exactly what its model runs; the keys it cannot set stay at their
+# defaults.
 COMMON_KEYS = ("model", "alpha", "k", "n_x", "dt", "t_end", "output_every",
                "snapshot_times", "save_final")
-MODELS = {"vlasov": ("equilibrium", "t_over_tf", "n_v", "v_max"),
-          "wigner": ("equilibrium", "t_over_tf", "n_v", "v_max", "h"),
-          "hartree": ("t_over_tf", "h", "n_streams"),
-          "fluid": ("h", "gamma", "p0")}
 EQUILIBRIA = (WATERBAG, PROJECTED_FD_T0, PROJECTED_FD)
 # Relative slack for times that are whole numbers of steps up to round-off,
 # such as 3 * 0.05 = 0.15000000000000002.
@@ -88,7 +86,7 @@ class ScenarioConfig:
 
 def read_keys(model: str, equilibrium: str) -> tuple:
     """The keys a run of `model` on `equilibrium` reads."""
-    keys = COMMON_KEYS + MODELS[model]
+    keys = COMMON_KEYS + MODELS[model].keys
     if "equilibrium" in keys and equilibrium in (WATERBAG, PROJECTED_FD_T0):
         keys = tuple(key for key in keys if key != "t_over_tf")
     return keys
@@ -128,7 +126,7 @@ def _on_step_grid(t: float, dt: float) -> bool:
 def validate(cfg: ScenarioConfig):
     """All range/consistency violations as a list of messages."""
     problems = []
-    keys = MODELS.get(cfg.model, ())
+    keys = MODELS[cfg.model].keys if cfg.model in MODELS else ()
 
     def check(ok, msg):
         if not ok:
@@ -181,6 +179,9 @@ def validate(cfg: ScenarioConfig):
             problems.append(f"h must leave a stream below the Fermi energy, got "
                             f"{cfg.h}: the stream spacing pi h / L = "
                             f"{math.pi * cfg.h / cfg.length:.3g} exceeds v_F")
+    check(cfg.model != "fluid" or cfg.gamma != 1.0 or cfg.alpha < 1.0,
+          f"alpha must be below 1 for an isothermal fluid (gamma = 1), got "
+          f"{cfg.alpha}: its enthalpy p0 log n is infinite at zero density")
     if cfg.model == "fluid" and cfg.n_x >= 8 and cfg.k > 0 and cfg.h > 0 and cfg.dt > 0:
         phase = check_splitstep_resonance(SpatialGrid(cfg.length, cfg.n_x),
                                           cfg.h, cfg.dt)
@@ -224,7 +225,7 @@ def parse_config(text: str, overrides=None) -> ScenarioConfig:
     if model in MODELS:
         eq = values.get("equilibrium", ScenarioConfig.equilibrium)
         problems += [f"{source}: model {model!r} has no key {key!r}"
-                     if key not in COMMON_KEYS + MODELS[model] else
+                     if key not in COMMON_KEYS + MODELS[model].keys else
                      f"{source}: equilibrium {eq!r} has no key {key!r}"
                      for source, key in assigned
                      if key not in read_keys(model, eq)]

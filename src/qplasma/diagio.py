@@ -1,12 +1,13 @@
 """Run diagnostics (energy series, damping-rate fits, vortex detection)
-and the bit-stable on-disk formats: CSV tables and model-state snapshots.
+and the bit-stable on-disk formats: CSV tables and snapshot containers.
 
 Series files are CSV tables (`format_table`), read back by the column
 names of their header row: t,field_energy,kinetic_energy,total_energy,
 mass,momentum (plus the same field energy rescaled per Fermi energy as a
 trailing column).  Snapshots are a small binary container: magic ``QPSN``,
 a little-endian u32 version, a length-prefixed UTF-8 JSON header and a
-row-major float64 payload.
+row-major float64 payload of named channels.  This module knows no model:
+`simulate.MODELS` says which channels and header fields each one writes.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ import numpy as np
 from scipy.ndimage import label
 
 from .fields import PhaseSpaceGrid
-from .qfluid import FluidState
-from .vlasov import VlasovState
-from .wigner import WignerState
 
 SNAPSHOT_MAGIC = b"QPSN"
 SNAPSHOT_VERSION = 1
@@ -131,35 +129,17 @@ def read_series_csv(path) -> DiagnosticSeries:
                             model=model, config_hash=config_hash)
 
 
-def write_snapshot(path, state, time: float, model: str,
-                   config_hash: str) -> None:
-    """Serialize a model state with its time, model name, H and config hash:
-    a classical f as channel f, a Wigner f as f_plus = max(f, 0) and
-    f_minus = max(-f, 0), a stream set's (N, n_x) psi as psi_re and psi_im,
-    plus the occupation probabilities of a Hartree mixture (the fluid's one
-    stream has weight 1)."""
-    if isinstance(state, VlasovState):
-        f, grid = state.f, state.grid
-        channels = ({"f_plus": np.maximum(f, 0.0), "f_minus": np.maximum(-f, 0.0)}
-                    if isinstance(state, WignerState) else {"f": f})
-        header = {"grid": {"length": grid.spatial.length, "n_x": grid.spatial.n_x,
-                           "v_max": grid.v_max, "n_v": grid.n_v},
-                  "initial_data": "perturbed_equilibrium"}
-    else:
-        channels = {"psi_re": state.psi.real, "psi_im": state.psi.imag}
-        header = {"grid": {"length": state.grid.length, "n_x": state.grid.n_x},
-                  "initial_data": "wavefunction"}
-        if not isinstance(state, FluidState):
-            header["probabilities"] = [float(p) for p in state.probabilities]
+def write_snapshot(path, channels: dict, header: dict) -> None:
+    """Write named arrays of one shape as float64 channels under a JSON
+    header: `header` plus the channel names, their shape and the payload's
+    CRC-32.  What each model writes is its row of `simulate.MODELS`."""
     # The channels are checksummed and written from their own memory; the
     # payload is never gathered into one bytes object.
     arrays = [np.ascontiguousarray(c, dtype="<f8") for c in channels.values()]
     crc = 0
     for arr in arrays:
         crc = zlib.crc32(arr, crc)
-    header.update(time=float(time), model=model, config_hash=config_hash,
-                  H=float(getattr(state, "H", 0.0)),  # 0 for a classical f
-                  channels=list(channels), shape=list(arrays[0].shape),
+    header = dict(header, channels=list(channels), shape=list(arrays[0].shape),
                   payload_crc32=crc & 0xFFFFFFFF)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:

@@ -77,7 +77,6 @@ class DispersionRoot:
     omega: complex
     residual: float
     iterations: int
-    ordering_ok: bool = True
     continuation_trusted: bool = True
 
 
@@ -179,12 +178,6 @@ def fluid_omega_sq(k: float, gamma: float = 3.0, v0_sq: float = 1.0 / 3.0,
     return 1.0 + gamma * k**2 * v0_sq + (H * k**2 / 4.0) ** 2
 
 
-def _ordering_ok(model: DielectricModel, k: float, omega: complex) -> bool:
-    """Long-wavelength ordering hbar k / m << v_F << omega / k, with unit
-    margins (v_F = 1); outside it the small-k expansions are not asserted."""
-    return (model.H / 2.0) * k < 1.0 < abs(omega) / k
-
-
 def solve_root(model: DielectricModel, k: float,
                guess: Optional[complex] = None) -> DispersionRoot:
     """Newton iteration on epsilon(K, omega) = 0 with a numerically
@@ -228,7 +221,6 @@ def solve_root(model: DielectricModel, k: float,
 
     return DispersionRoot(
         k=k, omega=omega, residual=residual, iterations=iteration,
-        ordering_ok=_ordering_ok(model, k, omega),
         continuation_trusted=abs(omega.imag) <= 0.5 * abs(omega.real),
     )
 

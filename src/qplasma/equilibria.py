@@ -257,7 +257,6 @@ class StreamSpec:
 
     probabilities: tuple
     velocities: tuple
-    raw_occupations: tuple = ()
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -278,8 +277,7 @@ def fd_stream_occupations(t_over_tf: float, mu: float, velocities) -> StreamSpec
     """Fermi-Dirac occupations p_a = 1 / (1 + exp((eps_a - mu) / T)) with
     eps_a = u_a^2 (energies in E_F), renormalized to sum to 1.
 
-    t_over_tf = 0 gives the sharp step occupation.  The raw values are
-    kept in `raw_occupations`.
+    t_over_tf = 0 gives the sharp step occupation.
     """
     u = np.asarray(velocities, dtype=float)
     if u.size == 0:
@@ -292,8 +290,7 @@ def fd_stream_occupations(t_over_tf: float, mu: float, velocities) -> StreamSpec
     total = raw.sum()
     if total == 0.0:
         raise ValueError("all occupations vanish; no stream below mu")
-    return StreamSpec(probabilities=tuple(raw / total), velocities=tuple(u),
-                      raw_occupations=tuple(raw))
+    return StreamSpec(probabilities=tuple(raw / total), velocities=tuple(u))
 
 
 def stream_lattice_spec(n_streams: int, t_over_tf: float, H: float,

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from qplasma import cli
-from qplasma.config import (COMMON_KEYS, MODELS, ConfigError, ScenarioConfig,
+from qplasma.config import (COMMON_KEYS, ConfigError, ScenarioConfig,
                             parse_config, read_keys)
+from qplasma.simulate import MODELS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -69,10 +70,10 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("model,key", [
         (model, f.name) for model in MODELS for f in fields(ScenarioConfig)
-        if f.name not in COMMON_KEYS + MODELS[model]])
+        if f.name not in COMMON_KEYS + MODELS[model].keys])
     def test_a_key_the_model_does_not_read_is_rejected(self, model, key):
         text = f"model = {model}\nn_x = 32\ndt = 0.02\n" + (
-            "h = 1.0\n" if "h" in MODELS[model] else "")
+            "h = 1.0\n" if "h" in MODELS[model].keys else "")
         setting = f"{key} = {getattr(ScenarioConfig(model), key)}"
         n_lines = len(text.splitlines())
         expected = f"model {model!r} has no key {key!r}"
@@ -133,6 +134,19 @@ class TestConfigParsing:
         [problem] = err.value.problems
         assert problem.startswith("line 4: dt ")
         assert "65.2 pi" in problem
+
+    def test_isothermal_fluid_density_that_vanishes_is_rejected(self):
+        # gamma = 1 makes the enthalpy p0 log n; at alpha = 1 the density
+        # 1 + cos kx is 0 on the grid point x = L/2 and the run stopped at
+        # t=0 with non-finite diagnostics.
+        text = ("model = fluid\nalpha = 1.0\ngamma = 1\nh = 1\nn_x = 32\n"
+                "dt = 0.02\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        [problem] = err.value.problems
+        assert problem.startswith("line 2: alpha must be below 1")
+        assert parse_config(text.replace("gamma = 1", "gamma = 2")).alpha == 1.0
+        assert parse_config(text.replace("1.0", "0.99")).alpha == 0.99
 
     def test_fluid_resonance_is_not_evaluated_on_a_bad_grid(self):
         # The grid cannot be built; only the key's own problem is reported.
@@ -197,9 +211,9 @@ class TestConfigParsing:
                      if block.startswith("model = ")]
         cfg = parse_config(example)
         assert parse_config(cfg.to_text()) == cfg
-        for model, keys in MODELS.items():
+        for model, row in MODELS.items():
             listed = re.search(rf"^- `{model}`: (.*)$", text, re.M).group(1)
-            assert listed == ", ".join(f"`{key}`" for key in keys), model
+            assert listed == ", ".join(f"`{key}`" for key in row.keys), model
 
     def test_times_off_the_step_grid_are_rejected(self):
         # Each of these ran to another time than its label said.
@@ -579,10 +593,17 @@ class TestImportFootprint:
         assert self.loaded_after_import("qplasma.cli", ["scipy.stats"]) == "[]"
 
     def test_diagio_import_loads_no_quadrature(self):
-        # The snapshot writer reads the solvers' state types; none of them
-        # brings in the dispersion integrals.
+        # The file formats need no integrals: the snapshot container holds
+        # named arrays and never sees a model's state.
         assert self.loaded_after_import(
             "qplasma.diagio", ["scipy.integrate"]) == "[]"
+
+    def test_diagio_import_loads_no_solver(self):
+        # What each model writes is its row of simulate.MODELS, so the
+        # container module depends on no solver.
+        assert self.loaded_after_import("qplasma.diagio", [
+            "qplasma.vlasov", "qplasma.wigner", "qplasma.hartree",
+            "qplasma.qfluid"]) == "[]"
 
     def test_simulate_import_loads_no_quadrature_or_root_finder(self):
         # The library path of `qplasma run` solves the chemical potential

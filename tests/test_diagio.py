@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
+from qplasma import simulate
 from qplasma.diagio import (DiagnosticSeries, SeriesRecorder, _line_fit,
                             damping_halt_time, detect_vortex,
                             fit_damping_rate, format_table, read_series_csv,
@@ -22,6 +23,14 @@ from qplasma.vlasov import VlasovState
 from qplasma.wigner import WignerState
 
 RNG = np.random.default_rng(7)
+
+
+def write_state(path, name, state, **fields):
+    """Write `state` with the channels and header of model `name`'s row in
+    simulate.MODELS, plus the header `fields`."""
+    row = simulate.MODELS[name]
+    channels, header = row.snapshot(state, getattr(state, row.array))
+    write_snapshot(path, channels, {**header, **fields})
 
 
 class TestDampingFit:
@@ -163,8 +172,8 @@ class TestSnapshots:
         grid = self.make_grid()
         f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, WignerState(f, grid, 1.0), 12.5, "wigner",
-                       "deadbeef")
+        write_state(path, "wigner", WignerState(f, grid, 1.0), time=12.5,
+                    model="wigner", config_hash="deadbeef", H=1.0)
         header, channels = read_snapshot(path)
         assert header["model"] == "wigner"
         assert header["time"] == 12.5
@@ -179,7 +188,7 @@ class TestSnapshots:
         grid = self.make_grid()
         f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
+        write_state(path, "vlasov", VlasovState(f, grid), H=0.0)
         header, channels = read_snapshot(path)
         assert set(channels) == {"f"}
         assert np.array_equal(channels["f"], f)
@@ -191,7 +200,7 @@ class TestSnapshots:
         psi = RNG.standard_normal((4, 32)) + 1j * RNG.standard_normal((4, 32))
         path = tmp_path / "wf.qpsn"
         streams = StreamSet(grid, psi, np.array([0.4, 0.3, 0.2, 0.1]), 0.5)
-        write_snapshot(path, streams, 3.0, "hartree", "")
+        write_state(path, "hartree", streams, time=3.0, H=0.5)
         header, channels = read_snapshot(path)
         back = channels["psi_re"] + 1j * channels["psi_im"]
         assert np.array_equal(back, psi)
@@ -202,7 +211,7 @@ class TestSnapshots:
         grid = self.make_grid()
         f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
+        write_snapshot(path, {"f": f}, {})
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -227,15 +236,15 @@ class TestSnapshots:
         grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 16), 3.0, 8)
         f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
+        write_snapshot(path, {"f": f}, {})
         self.rewrite(path, edit_header=lambda h: h.update(shape=[8, 8]))
         with pytest.raises(ValueError, match="payload"):
             read_snapshot(path)
-        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
+        write_snapshot(path, {"f": f}, {})
         self.rewrite(path, extra_payload=bytes(64))
         with pytest.raises(ValueError, match="payload"):
             read_snapshot(path)
-        write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
+        write_snapshot(path, {"f": f}, {})
         self.rewrite(path)
         assert np.array_equal(read_snapshot(path)[1]["f"], f)
 
@@ -245,7 +254,7 @@ class TestSnapshots:
         path = tmp_path / "snap.qpsn"
         for edit, size in ((lambda raw: raw[:-8], 1016),
                            (lambda raw: raw + bytes(8), 1032)):
-            write_snapshot(path, VlasovState(f, grid), 0.0, "vlasov", "")
+            write_snapshot(path, {"f": f}, {})
             path.write_bytes(edit(path.read_bytes()))
             with pytest.raises(ValueError) as err:
                 read_snapshot(path)
@@ -258,7 +267,7 @@ class TestSnapshots:
         grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 16), 3.0, 8)
         f = RNG.standard_normal((grid.n_v, grid.spatial.n_x))
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, VlasovState(f, grid), 0.5, "vlasov", "abc")
+        write_snapshot(path, {"f": f}, {"time": 0.5, "config_hash": "abc"})
         raw = path.read_bytes()
 
         def read_piped(data):
@@ -287,11 +296,11 @@ class TestSnapshots:
         grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 256), 3.0, 256)
         state = WignerState(RNG.standard_normal((256, 256)), grid, 1.0)
         path = tmp_path / "snap.qpsn"
-        write_snapshot(path, state, 1.0, "wigner", "")  # warm-up
+        write_state(path, "wigner", state)  # warm-up
         tracemalloc.start()
         try:
             if io == "write":
-                write_snapshot(path, state, 1.0, "wigner", "")
+                write_state(path, "wigner", state)
             else:
                 read_snapshot(path)
             peak = tracemalloc.get_traced_memory()[1]

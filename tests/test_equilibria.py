@@ -364,8 +364,7 @@ class TestOneDFermiVelocity:
 class TestStreamOccupations:
     def test_sharp_step_at_zero_temperature(self):
         spec = fd_stream_occupations(0.0, 1.0, (-1.5, -0.5, 0.5, 1.5))
-        raw = np.array(spec.raw_occupations)
-        assert np.allclose(raw, [0.0, 1.0, 1.0, 0.0])
+        assert np.allclose(spec.probabilities, [0.0, 0.5, 0.5, 0.0])
 
     def test_probabilities_normalized_and_symmetric(self):
         spec = fd_stream_occupations(0.05, 1.0, (-1.0, -0.5, 0.5, 1.0))
@@ -375,8 +374,7 @@ class TestStreamOccupations:
 
     def test_occupation_monotone_in_energy(self):
         spec = fd_stream_occupations(0.1, 1.0, (0.0, 0.5, 1.0, 1.5, 2.0))
-        raw = np.array(spec.raw_occupations)
-        assert np.all(np.diff(raw) < 0)
+        assert np.all(np.diff(spec.probabilities) < 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from qplasma import diagio, hartree, qfluid, simulate, vlasov, wigner
-from qplasma.config import (COMMON_KEYS, MODELS, ConfigError, ScenarioConfig,
+from qplasma.config import (COMMON_KEYS, ConfigError, ScenarioConfig,
                             parse_config)
 from qplasma.equilibria import stream_lattice_spec
+from qplasma.simulate import MODELS
 
 from dielectric_reference import use_numpy_profiles
 
@@ -55,10 +56,6 @@ def test_every_configurable_model_is_covered():
     assert sorted(CONFIGS) == sorted(MODELS)
 
 
-def test_model_table_matches_the_config_names():
-    assert sorted(simulate.MODELS) == sorted(MODELS)
-
-
 # A valid value for each key some model does not read, off every default.
 UNREAD_VALUES = {"equilibrium": "waterbag1d", "t_over_tf": 0.05, "h": 0.7,
                  "n_v": 128, "v_max": 4.0, "gamma": 2.0, "p0": 0.5,
@@ -67,13 +64,14 @@ UNREAD_VALUES = {"equilibrium": "waterbag1d", "t_over_tf": 0.05, "h": 0.7,
 
 @pytest.mark.parametrize("model", sorted(CONFIGS))
 def test_keys_the_model_does_not_read_leave_the_run_unchanged(model):
-    # The table in config.MODELS is what the model runs: changing any other
+    # The keys in the model's row are what the model runs: changing any other
     # field changes no bit of the series or the final state.
     cfg = replace(CONFIGS[model], t_end=4 * CONFIGS[model].dt,
                   snapshot_times=())
     unread = [f.name for f in fields(ScenarioConfig)
-              if f.name not in COMMON_KEYS + MODELS[model]]
-    assert sorted(unread) == sorted(set(UNREAD_VALUES) - set(MODELS[model]))
+              if f.name not in COMMON_KEYS + MODELS[model].keys]
+    assert sorted(unread) == sorted(set(UNREAD_VALUES)
+                                    - set(MODELS[model].keys))
     base = simulate.run(cfg)
     for key in unread:
         assert getattr(cfg, key) != UNREAD_VALUES[key], key
@@ -85,15 +83,36 @@ def test_keys_the_model_does_not_read_leave_the_run_unchanged(model):
                               state_array(base.final_state)), key
 
 
-def test_fluid_snapshots_hold_one_stream_without_probabilities(tmp_path):
-    cfg = CONFIGS["fluid"]
-    paths = simulate.write_outputs(cfg, simulate.run(cfg), tmp_path)
-    snapshots = [p for p in paths if Path(p).suffix == ".qpsn"]
-    assert len(snapshots) == 2
-    for path in snapshots:
-        header, _ = diagio.read_snapshot(path)
-        assert "probabilities" not in header
-        assert header["shape"] == [1, cfg.n_x]
+@pytest.mark.parametrize("model", sorted(CONFIGS))
+def test_snapshot_header_holds_exactly_the_model_fields(model, tmp_path):
+    # Phase space records its velocity grid, a classical f has H = 0, only a
+    # Hartree mixture has occupations and the fluid is one stream.
+    cfg = CONFIGS[model]
+    simulate.write_outputs(cfg, simulate.run(cfg), tmp_path)
+    grid = {"length": cfg.length, "n_x": cfg.n_x}
+    wave = {"initial_data": "wavefunction", "channels": ["psi_re", "psi_im"],
+            "grid": grid, "H": cfg.h}
+    phase_space = {"initial_data": "perturbed_equilibrium",
+                   "shape": [cfg.n_v, cfg.n_x],
+                   "grid": {**grid, "v_max": cfg.v_max, "n_v": cfg.n_v}}
+    expected = {
+        "vlasov": {**phase_space, "channels": ["f"], "H": 0.0},
+        "wigner": {**phase_space, "channels": ["f_plus", "f_minus"],
+                   "H": cfg.h},
+        "hartree": {**wave, "shape": [cfg.n_streams, cfg.n_x]},
+        "fluid": {**wave, "shape": [1, cfg.n_x]},
+    }[model]
+    if model == "hartree":
+        expected["probabilities"] = [float(p) for p in stream_lattice_spec(
+            cfg.n_streams, cfg.t_over_tf, cfg.h, cfg.length).probabilities]
+    h = cfg.config_hash()
+    (t_snap,) = cfg.snapshot_times
+    for tag, t in ((f"t{t_snap:g}", t_snap), ("final", cfg.t_end)):
+        header, _ = diagio.read_snapshot(
+            tmp_path / f"snapshot_{model}_{h}_{tag}.qpsn")
+        assert isinstance(header.pop("payload_crc32"), int)
+        assert header == {**expected, "time": t, "model": model,
+                          "config_hash": h}, tag
 
 
 @pytest.mark.parametrize("model", sorted(CONFIGS))
