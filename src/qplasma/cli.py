@@ -122,12 +122,22 @@ def _load_configs(paths, overrides):
     return cfgs
 
 
+def _run(cfg, path):
+    """simulate.run(cfg), or None after printing why the run stopped."""
+    try:
+        return simulate.run(cfg)
+    except (ValueError, ArithmeticError) as err:
+        print(f"run error: {path}: {err}", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     cfgs = _load_configs([args.config], args.override)
     if cfgs is None:
         return 2
     [cfg] = cfgs
-    result = simulate.run(cfg)
+    result = _run(cfg, args.config)
+    if result is None:
+        return 3
     paths = simulate.write_outputs(cfg, result, args.out)
     for p in paths:
         print(p)
@@ -147,7 +157,11 @@ def cmd_compare(args) -> int:
         print(f"error: configs differ in grid/time keys {mismatched}; "
               "compare requires matching discretization", file=sys.stderr)
         return 2
-    sa, sb = simulate.run(cfg_a).series, simulate.run(cfg_b).series
+    sa = _run(cfg_a, args.config_a)
+    sb = sa and _run(cfg_b, args.config_b)  # b runs only if a ran
+    if sb is None:
+        return 3
+    sa, sb = sa.series, sb.series
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / (f"compare_{cfg_a.model}_{cfg_a.config_hash()}_"

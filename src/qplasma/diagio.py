@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import label
 
 from .fields import PhaseSpaceGrid
 
@@ -276,6 +275,9 @@ def detect_vortex(f: np.ndarray, grid: PhaseSpaceGrid,
     detector is invariant under adding a constant to f and under periodic
     x-translation.
     """
+    # Imported here: nothing else in a run needs scipy.ndimage's labelling.
+    from scipy.ndimage import label
+
     v = grid.v
     rows = np.flatnonzero(np.abs(v - phase_velocity) <= 1.0)
     if rows.size == 0:

@@ -10,6 +10,7 @@ kinetic equations is +phi'.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,31 +80,45 @@ def spectral_derivative(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     )
 
 
-def poisson_periodic(density: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Solve phi'' = density - 1 on the periodic box; returns zero-mean phi.
-
-    The box must be quasineutral: mean(density) == n0 = 1 to 1e-10.  A
-    non-finite mean, which fails no comparison, raises FloatingPointError.
-    """
+def _charge_spectrum(density: np.ndarray) -> np.ndarray:
+    """rfft of density - 1; raises ValueError unless the mean density is
+    n0 = 1 to 1e-10, and FloatingPointError if it is not finite."""
     mean = float(np.mean(density))
-    if not np.isfinite(mean):
+    if not np.isfinite(mean):  # a NaN mean fails no comparison
         raise FloatingPointError(f"non-finite mean density {mean}")
     excess = mean - 1.0
     if abs(excess) > 1e-10:
         raise ValueError(
             f"non-neutral box: mean density deviates from n0 by {excess:.3e}"
         )
-    rho_hat = np.fft.rfft(density - 1.0)
+    return np.fft.rfft(density - 1.0)
+
+
+def poisson_periodic(density: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Zero-mean phi with phi'' = density - 1 on a neutral periodic box."""
+    rho_hat = _charge_spectrum(density)
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.n_x, d=grid.dx)
     phi_hat = np.zeros_like(rho_hat)
     phi_hat[1:] = -rho_hat[1:] / k[1:] ** 2
     return np.fft.irfft(phi_hat, n=grid.n_x)
 
 
+@functools.lru_cache(maxsize=8)
+def _field_weights(grid: SpatialGrid) -> np.ndarray:
+    """1 / (k n_x)^2 on the rfft modes 0 < k < n_x/2, else 0."""
+    k = 2.0 * np.pi * grid.n_x * np.fft.rfftfreq(grid.n_x, d=grid.dx)
+    weights = np.zeros_like(k)
+    weights[1:(grid.n_x + 1) // 2] = 1.0 / k[1:(grid.n_x + 1) // 2] ** 2
+    weights.flags.writeable = False
+    return weights
+
+
 def field_energy(density: np.ndarray, grid: SpatialGrid) -> float:
-    """Box-averaged energy 1/2 <E^2> of the field the density drives."""
-    efield = spectral_derivative(poisson_periodic(density, grid), grid)
-    return 0.5 * float(np.mean(efield**2))
+    """1/2 <E^2> of the field a neutral density drives, by Parseval: the sum
+    over 0 < k < n_x/2 of |rho_k|^2 / (k n_x)^2, rho_k the rfft of density
+    - 1 (the x-Nyquist mode, which spectral_derivative drops, left out)."""
+    power = np.abs(_charge_spectrum(density)) ** 2
+    return float(np.sum(power * _field_weights(grid)))
 
 
 def moments(f: np.ndarray, grid: PhaseSpaceGrid):

@@ -57,22 +57,22 @@ def step(streams: StreamSet, dt: float) -> StreamSet:
                      streams.probabilities, streams.H)
 
 
-def _wave_diagnostics(streams: StreamSet):
+def _wave_diagnostics(streams: StreamSet, internal_energy=None):
     """Box-averaged (field energy, kinetic energy, mass, momentum) of any
-    stream set, the fluid's one stream included.
-
-    Kinetic energy is the weighted (hbar_eff^2/2)|psi_x|^2 average;
-    momentum the weighted hbar_eff Im(psi* psi_x) average.
-    """
+    stream set, plus the box average of internal_energy(n) if given.  By
+    Parseval over each stream's FFT psi_k, (hbar_eff^2/2) <|psi_x|^2> is
+    (hbar_eff^2/2) sum k^2 |psi_k|^2 / n_x^2 and hbar_eff <Im(psi* psi_x)>
+    is hbar_eff sum k |psi_k|^2 / n_x^2, weighted by the occupations."""
     psi, weights, grid = streams.psi, streams.probabilities, streams.grid
     hb = hbar_eff(streams.H)
     n = np.einsum("a,ax->x", weights, np.abs(psi) ** 2)
-    k = grid.wavenumbers
-    dpsi = np.fft.ifft(1j * k[None, :] * np.fft.fft(psi, axis=1), axis=1)
-    kin_per = 0.5 * hb**2 * np.mean(np.abs(dpsi) ** 2, axis=1)
-    mom_per = hb * np.mean(np.imag(np.conj(psi) * dpsi), axis=1)
-    kinetic = float(np.dot(weights, kin_per))
-    momentum = float(np.dot(weights, mom_per))
+    # The occupation-weighted |psi_k|^2, and k / n_x.
+    power = np.einsum("a,ak->k", weights, np.abs(np.fft.fft(psi, axis=1)) ** 2)
+    k = grid.wavenumbers / grid.n_x
+    kinetic = 0.5 * hb**2 * float(np.sum(k * k * power))
+    momentum = hb / grid.n_x * float(np.sum(k * power))
+    if internal_energy is not None:
+        kinetic += float(np.mean(internal_energy(n)))
     return field_energy(n, grid), kinetic, float(np.mean(n)), momentum
 
 

@@ -97,8 +97,6 @@ def diagnostics(state: FluidState):
     energy of the closure, so that field + transport is the conserved
     functional of the model.
     """
-    field_energy, kinetic, mass, momentum = _wave_diagnostics(state)
-    internal = float(np.mean(internal_energy(state.density(), state.gamma,
-                                             state.p0)))
-    return field_energy, kinetic + internal, mass, momentum
+    return _wave_diagnostics(
+        state, lambda n: internal_energy(n, state.gamma, state.p0))
 

@@ -54,15 +54,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import spline_filter1d
 
 from .equilibria import Equilibrium1D, Perturbation
-from .fields import (PhaseSpaceGrid, field_energy, moments, poisson_periodic,
+from .fields import (PhaseSpaceGrid, field_energy, poisson_periodic,
                      spectral_derivative)
 
 # Zero rows scipy.ndimage puts on each side of the velocity axis before the
 # "grid-constant" spline prefilter; the coefficients depend on this count.
 _PREFILTER_PAD = 12
+
+# scipy.ndimage's spline prefilter, bound by _v_scratch when advect_v first
+# runs, so that a Wigner, Hartree or fluid run never loads scipy.ndimage.
+spline_filter1d = None
 
 
 @dataclass
@@ -140,6 +143,8 @@ def _v_scratch(grid: PhaseSpaceGrid):
     """advect_v's own arrays on `grid`: the spline coefficients indexed
     [i_x, i_v], with one zero column beyond each end, and the window of
     n_v + 3 coefficients each column's taps read, indexed [i_v, i_x]."""
+    global spline_filter1d
+    from scipy.ndimage import spline_filter1d
     n_v, n_x = grid.n_v, grid.spatial.n_x
     return (np.zeros((n_x, n_v + 2 * _PREFILTER_PAD + 2)),
             np.empty((n_v + 3, n_x)))
@@ -214,7 +219,14 @@ def step(state: VlasovState, dt: float) -> VlasovState:
 
 
 def diagnostics(state: VlasovState):
-    """Box-averaged (field energy, kinetic energy, mass, momentum)."""
-    n, flux, second = moments(state.f, state.grid)
-    return (field_energy(n, state.grid.spatial), 0.5 * float(np.mean(second)),
-            float(np.mean(n)), float(np.mean(flux)))
+    """Box-averaged (field energy, kinetic energy, mass, momentum).  The
+    column sums of f times dv are moments' density n; the row sums of f
+    times (dv / n_x) v^2/2 and (dv / n_x) v are the kinetic energy and the
+    momentum, the box averages of moments' second moment / 2 and flux."""
+    f, grid = state.f, state.grid
+    n = np.sum(f, axis=0) * grid.dv
+    field = field_energy(n, grid.spatial)
+    v = grid.v
+    flux = np.sum(f, axis=1) * (grid.dv / grid.spatial.n_x) * v
+    return (field, 0.5 * float(np.sum(flux * v)), float(np.mean(n)),
+            float(np.sum(flux)))
