@@ -75,8 +75,6 @@ class ScenarioConfig:
                 v = ",".join(repr(float(t)) for t in v)
             elif isinstance(v, bool):
                 v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
             lines.append(f"{name} = {v}")
         return "\n".join(lines) + "\n"
 
@@ -92,29 +90,49 @@ def read_keys(model: str, equilibrium: str) -> tuple:
     return keys
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
+_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _parse_bool(s: str) -> bool:
-    try:
-        return _BOOL[s.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {s!r}")
-
-
-def _parse_times(s: str) -> tuple:
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(float(tok) for tok in s.split(","))
+def _finite(s: str) -> float:
+    if not math.isfinite(x := float(s)):
+        raise ValueError(f"not a finite number: {s!r}")
+    return x
 
 
 # The parser of each key, by the field's annotation (a string under
-# `from __future__ import annotations`).
-_PARSERS = {f.name: {"str": str, "float": float, "int": int,
-                     "tuple": _parse_times, "bool": _parse_bool}[f.type]
+# `from __future__ import annotations`).  Every number is finite.
+_PARSERS = {f.name: {"str": str, "float": _finite, "int": int,
+                     "bool": lambda s: _BOOL[s.strip().lower()],
+                     "tuple": lambda s: tuple(map(_finite, s.split(",")))
+                     if s.strip() else ()}[f.type]
             for f in dataclass_fields(ScenarioConfig)}
+
+# Each key's own rule: a test of its value and the problem a failing value
+# makes, formatted with the value `v` and the config `cfg`.  validate
+# applies it only to the keys the config's model reads; the others stay at
+# their defaults.
+RULES = {
+    "model": (lambda v: v in MODELS,
+              f"model must be one of {tuple(MODELS)}, got {{v!r}}"),
+    "equilibrium": (lambda v: v in EQUILIBRIA,
+                    f"equilibrium must be one of {EQUILIBRIA}, got {{v!r}}"),
+    "t_over_tf": (lambda v: v >= 0, "t_over_tf must be nonnegative, got {v!r}"),
+    "alpha": (lambda v: 0 <= v <= 1, "alpha must be in [0, 1], got {v!r}"),
+    "k": (lambda v: v > 0, "k must be positive, got {v!r}"),
+    "h": (lambda v: v > 0, "model {cfg.model!r} requires h > 0"),
+    "n_x": (lambda v: v >= 8, "n_x must be at least 8, got {v!r}"),
+    "n_v": (lambda v: v >= 8 and v % 2 == 0,
+            "n_v must be even and at least 8, got {v!r}"),
+    "v_max": (lambda v: v > 0, "v_max must be positive, got {v!r}"),
+    "dt": (lambda v: v > 0, "dt must be positive, got {v!r}"),
+    "t_end": (lambda v: v > 0, "t_end must be positive, got {v!r}"),
+    "output_every": (lambda v: v >= 1, "output_every must be at least 1, got {v!r}"),
+    "snapshot_times": (lambda v: min(v, default=0) >= 0,
+                       "snapshot_times must be nonnegative, got {v!r}"),
+    "gamma": (lambda v: v >= 1, "gamma must be at least 1, got {v!r}"),
+    "p0": (lambda v: v > 0, "p0 must be positive, got {v!r}"),
+    "n_streams": (lambda v: v >= 1, "n_streams must be at least 1, got {v!r}"),
+}
 
 
 def _on_step_grid(t: float, dt: float) -> bool:
@@ -123,73 +141,63 @@ def _on_step_grid(t: float, dt: float) -> bool:
     return math.isfinite(n) and abs(round(n) * dt - t) <= STEP_GRID_RTOL * max(t, dt)
 
 
-def validate(cfg: ScenarioConfig):
-    """All range/consistency violations as a list of messages."""
-    problems = []
-    keys = MODELS[cfg.model].keys if cfg.model in MODELS else ()
-
-    def check(ok, msg):
-        if not ok:
-            problems.append(msg)
-
-    check(cfg.model in MODELS,
-          f"model must be one of {tuple(MODELS)}, got {cfg.model!r}")
-    check(cfg.equilibrium in EQUILIBRIA,
-          f"equilibrium must be one of {EQUILIBRIA}, got {cfg.equilibrium!r}")
-    if "equilibrium" in keys and cfg.equilibrium == PROJECTED_FD:
-        check(0.0 < cfg.t_over_tf <= 1.0,
-              f"t_over_tf must be in (0, 1] for equilibrium "
-              f"'fd3d_projected', got {cfg.t_over_tf}")
-    check(0.0 <= cfg.alpha <= 1.0, f"alpha must be in [0, 1], got {cfg.alpha}")
-    check(cfg.k > 0, f"k must be positive, got {cfg.k}")
-    check(cfg.h >= 0, f"h must be nonnegative, got {cfg.h}")
-    if "h" in keys:
-        check(cfg.h > 0, f"model {cfg.model!r} requires h > 0")
-    check(cfg.t_over_tf >= 0, f"t_over_tf must be nonnegative, got {cfg.t_over_tf}")
-    check(cfg.n_x >= 8, f"n_x must be at least 8, got {cfg.n_x}")
-    check(cfg.n_v >= 8 and cfg.n_v % 2 == 0,
-          f"n_v must be even and at least 8, got {cfg.n_v}")
-    check(cfg.v_max > 0, f"v_max must be positive, got {cfg.v_max}")
-    check(cfg.dt > 0, f"dt must be positive, got {cfg.dt}")
-    check(cfg.t_end > 0, f"t_end must be positive, got {cfg.t_end}")
-    check(cfg.output_every >= 1,
-          f"output_every must be at least 1, got {cfg.output_every}")
-    check(all(t >= 0 for t in cfg.snapshot_times),
-          "snapshot_times must be nonnegative")
-    if cfg.dt > 0 and cfg.t_end > 0:
-        check(_on_step_grid(cfg.t_end, cfg.dt),
-              f"t_end must be a whole number of steps of dt={cfg.dt}, "
-              f"got {cfg.t_end}")
-        for t in cfg.snapshot_times:
-            check(_on_step_grid(t, cfg.dt),
-                  f"snapshot_times must be whole numbers of steps of "
-                  f"dt={cfg.dt}, got {t}")
-            check(t <= cfg.t_end * (1.0 + STEP_GRID_RTOL),
-                  f"snapshot_times must not be after t_end={cfg.t_end}, "
-                  f"got {t}")
-    check(cfg.gamma >= 1.0, f"gamma must be at least 1, got {cfg.gamma}")
-    check(cfg.p0 > 0, f"p0 must be positive, got {cfg.p0}")
-    check(cfg.n_streams >= 1,
-          f"n_streams must be at least 1, got {cfg.n_streams}")
-    if ("n_streams" in keys and cfg.h > 0 and cfg.k > 0
-            and cfg.n_streams >= 1 and cfg.t_over_tf >= 0):
+# (key, problem) of each rule across keys that the config breaks.  A rule
+# runs only when every key it reads is in `passed`: the model reads the key
+# and its value passed its own rule.  No two rules blame one key.
+def _cross_problems(cfg: ScenarioConfig, passed: set):
+    if {"dt", "t_end"} <= passed and not _on_step_grid(cfg.t_end, cfg.dt):
+        yield "t_end", (f"t_end must be a whole number of steps of "
+                        f"dt={cfg.dt}, got {cfg.t_end}")
+    for t in cfg.snapshot_times if {"dt", "t_end", "snapshot_times"} <= passed else ():
+        late = t > cfg.t_end * (1.0 + STEP_GRID_RTOL)
+        if late or not _on_step_grid(t, cfg.dt):
+            yield "snapshot_times", (
+                f"snapshot_times must not be after t_end={cfg.t_end}, got {t}"
+                if late else f"snapshot_times must be whole numbers of steps "
+                f"of dt={cfg.dt}, got {t}")
+            break  # one problem for the key
+    # Of the equilibria only PROJECTED_FD reads t_over_tf (read_keys).
+    if {"equilibrium", "t_over_tf"} <= passed and not 0.0 < cfg.t_over_tf <= 1.0:
+        yield "t_over_tf", (f"t_over_tf must be in (0, 1] for equilibrium "
+                            f"{cfg.equilibrium!r}, got {cfg.t_over_tf}")
+    if {"k", "t_over_tf", "h", "n_streams"} <= passed:
+        # Occupations fall with |u|, so the lattice leaves a stream below
+        # the Fermi energy exactly when its innermost streams (of the same
+        # parity) do; those are checked, not all n_streams.
         try:
-            stream_lattice_spec(cfg.n_streams, cfg.t_over_tf, cfg.h, cfg.length)
+            stream_lattice_spec(min(cfg.n_streams, 2 + cfg.n_streams % 2),
+                                cfg.t_over_tf, cfg.h, cfg.length)
         except ValueError:
-            problems.append(f"h must leave a stream below the Fermi energy, got "
-                            f"{cfg.h}: the stream spacing pi h / L = "
-                            f"{math.pi * cfg.h / cfg.length:.3g} exceeds v_F")
-    check(cfg.model != "fluid" or cfg.gamma != 1.0 or cfg.alpha < 1.0,
-          f"alpha must be below 1 for an isothermal fluid (gamma = 1), got "
-          f"{cfg.alpha}: its enthalpy p0 log n is infinite at zero density")
-    if cfg.model == "fluid" and cfg.n_x >= 8 and cfg.k > 0 and cfg.h > 0 and cfg.dt > 0:
-        phase = check_splitstep_resonance(SpatialGrid(cfg.length, cfg.n_x),
-                                          cfg.h, cfg.dt)
-        check(phase < 1.0,
-              f"dt must keep the kinetic phase per step at the grid "
-              f"cutoff below pi (split-step resonance), got "
-              f"{phase:.3g} pi at dt={cfg.dt}")
-    return problems
+            yield "h", (f"h must leave a stream below the Fermi energy, got "
+                        f"{cfg.h}: the stream spacing pi h / L = "
+                        f"{math.pi * cfg.h / cfg.length:.3g} exceeds v_F")
+    if {"alpha", "gamma"} <= passed and cfg.gamma == 1.0 and cfg.alpha >= 1.0:
+        yield "alpha", (f"alpha must be below 1 for an isothermal fluid "
+                        f"(gamma = 1), got {cfg.alpha}: its enthalpy p0 log n "
+                        f"is infinite at zero density")
+    # gamma marks the fluid, whose step (qfluid.step) has the resonance.
+    if {"k", "n_x", "h", "dt", "gamma"} <= passed:
+        try:
+            phase = check_splitstep_resonance(SpatialGrid(cfg.length, cfg.n_x),
+                                              cfg.h, cfg.dt)
+        except OverflowError:  # past the float range
+            phase = math.inf
+        if not phase < 1.0:
+            yield "dt", (f"dt must keep the kinetic phase per step at the grid "
+                         f"cutoff below pi (split-step resonance), got "
+                         f"{phase:.3g} pi at dt={cfg.dt}")
+
+
+def validate(cfg: ScenarioConfig):
+    """(key, problem) of each rule the config breaks, at most one per key:
+    each key's own rule from RULES, then the rules across keys whose keys
+    all passed theirs."""
+    keys = read_keys(cfg.model, cfg.equilibrium) if cfg.model in MODELS else ("model",)
+    problems = [(key, RULES[key][1].format(v=getattr(cfg, key), cfg=cfg))
+                for key in keys
+                if key in RULES and not RULES[key][0](getattr(cfg, key))]
+    passed = set(keys).difference(key for key, _ in problems)
+    return problems + list(_cross_problems(cfg, passed))
 
 
 def parse_config(text: str, overrides=None) -> ScenarioConfig:
@@ -216,7 +224,7 @@ def parse_config(text: str, overrides=None) -> ScenarioConfig:
             continue
         try:
             values[key] = _PARSERS[key](val)
-        except ValueError:
+        except (ValueError, KeyError):  # KeyError: not a boolean
             problems.append(f"{source}: bad value for {key!r}: {val!r}")
             continue
         assigned.append((source, key))
@@ -234,10 +242,9 @@ def parse_config(text: str, overrides=None) -> ScenarioConfig:
     if problems:
         raise ConfigError(problems)
     cfg = ScenarioConfig(**values)
-    # Each range problem names its key first; blame the entry that set it.
-    for p in validate(cfg):
-        key = p.split(" ", 1)[0]
-        problems.append(f"{sources[key]}: {p}" if key in sources else p)
+    # A key left at its default is blamed on the entry that set the model.
+    problems = [f"{sources.get(key, sources['model'])}: {p}"
+                for key, p in validate(cfg)]
     if problems:
         raise ConfigError(problems)
     return cfg

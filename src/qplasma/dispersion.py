@@ -52,8 +52,8 @@ class DielectricModel:
         if self.kind not in (VLASOV_KINETIC, WIGNER_KINETIC, MULTISTREAM,
                              QUANTUM_FLUID):
             raise ValueError(f"unknown dielectric kind {self.kind!r}")
-        if self.H < 0:
-            raise ValueError("H must be nonnegative")
+        if not 0 <= self.H < math.inf:
+            raise ValueError(f"H must be nonnegative and finite, got {self.H}")
         if self.kind == VLASOV_KINETIC and self.H != 0.0:
             raise ValueError("the vlasov model is classical: H must be 0")
         if self.kind in (VLASOV_KINETIC, WIGNER_KINETIC) and self.equilibrium is None:
@@ -120,8 +120,8 @@ def _pole_integral(g, w: complex, k: float, v_lo: float, v_hi: float) -> complex
 
 def eps_vlasov(k: float, omega: complex, eq: Equilibrium1D) -> complex:
     """Semiclassical kinetic dielectric, 1 + (1/K) int f0'(v) / (omega - K v) dv."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     if eq.kind == WATERBAG:
         # Distributional derivative evaluates in closed form.
         return 1.0 - 1.0 / (omega**2 - k ** 2)
@@ -137,8 +137,8 @@ def eps_wigner(k: float, omega: complex, eq: Equilibrium1D,
     1 - [I(omega - a) - I(omega + a)] / 2a, with a = H K^2 / 4 and
     I(w) = int f0 / (w - K v) dv taken by _pole_integral, for every profile.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     if H == 0.0:
         return eps_vlasov(k, omega, eq)
     a = H * k**2 / 4.0
@@ -152,8 +152,8 @@ def eps_multistream(k: float, omega: complex, spec: StreamSpec,
                     H: float) -> complex:
     """Cold-stream mixture dielectric,
     1 - sum_a p_a / [(omega - K u_a)^2 - H^2 K^4 / 16]."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     p = np.asarray(spec.probabilities)
     u = np.asarray(spec.velocities)
     denom = (omega - k * u) ** 2 - (H * k**2 / 4.0) ** 2
@@ -166,8 +166,8 @@ def eps_fluid(k: float, omega: complex, gamma: float = 3.0,
               v0_sq: float = 1.0 / 3.0, H: float = 0.0) -> complex:
     """Polytropic fluid dielectric,
     1 - 1 / (omega^2 - gamma K^2 v0^2 - H^2 K^4 / 16)."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     return 1.0 - 1.0 / (omega**2 - gamma * k**2 * v0_sq - (H * k**2 / 4.0) ** 2)
 
 

@@ -282,11 +282,14 @@ def fd_stream_occupations(t_over_tf: float, mu: float, velocities) -> StreamSpec
     u = np.asarray(velocities, dtype=float)
     if u.size == 0:
         raise ValueError("empty velocity list")
-    eps = u**2
-    if t_over_tf == 0.0:
-        raw = np.where(eps < mu, 1.0, np.where(eps == mu, 0.5, 0.0))
-    else:
-        raw = _logistic((mu - eps) / t_over_tf)
+    # An energy, or its ratio to T, past the float range is infinite, and
+    # the step or _logistic takes it to its limit, 0 or 1.
+    with np.errstate(over="ignore"):
+        eps = u**2
+        if t_over_tf == 0.0:
+            raw = np.where(eps < mu, 1.0, np.where(eps == mu, 0.5, 0.0))
+        else:
+            raw = _logistic((mu - eps) / t_over_tf)
     total = raw.sum()
     if total == 0.0:
         raise ValueError("all occupations vanish; no stream below mu")

@@ -16,6 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# A grid's arrays are built at their first read and shared by every reader
+# after it, so none may write to them.
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform periodic grid of length `length` with `n_x` points."""
@@ -33,14 +40,14 @@ class SpatialGrid:
     def dx(self) -> float:
         return self.length / self.n_x
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return np.arange(self.n_x) * self.dx
+        return _read_only(np.arange(self.n_x) * self.dx)
 
-    @property
+    @functools.cached_property
     def wavenumbers(self) -> np.ndarray:
         """Angular wavenumbers matching numpy's FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.dx)
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.dx))
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,9 @@ class PhaseSpaceGrid:
     def dv(self) -> float:
         return 2.0 * self.v_max / self.n_v
 
-    @property
+    @functools.cached_property
     def v(self) -> np.ndarray:
-        return -self.v_max + np.arange(self.n_v) * self.dv
+        return _read_only(-self.v_max + np.arange(self.n_v) * self.dv)
 
 
 def spectral_derivative(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -109,8 +116,7 @@ def _field_weights(grid: SpatialGrid) -> np.ndarray:
     k = 2.0 * np.pi * grid.n_x * np.fft.rfftfreq(grid.n_x, d=grid.dx)
     weights = np.zeros_like(k)
     weights[1:(grid.n_x + 1) // 2] = 1.0 / k[1:(grid.n_x + 1) // 2] ** 2
-    weights.flags.writeable = False
-    return weights
+    return _read_only(weights)
 
 
 def field_energy(density: np.ndarray, grid: SpatialGrid) -> float:

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qplasma import cli
-from qplasma.config import (COMMON_KEYS, ConfigError, ScenarioConfig,
-                            parse_config, read_keys)
+from qplasma.config import (COMMON_KEYS, EQUILIBRIA, ConfigError,
+                            ScenarioConfig, parse_config, read_keys)
 from qplasma.simulate import MODELS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -157,6 +159,39 @@ class TestConfigParsing:
                 parse_config(f"model = fluid\nh = 1.0\n{line}\n")
             assert err.value.problems == [expected]
 
+    @pytest.mark.parametrize("text, expected", [
+        ("model = wigner\nh = -1\n", "line 2: model 'wigner' requires h > 0"),
+        ("model = hartree\nh = -1\n", "line 2: model 'hartree' requires h > 0"),
+        ("model = fluid\nh = -1\n", "line 2: model 'fluid' requires h > 0"),
+        ("model = vlasov\nequilibrium = fd3d_projected\nt_over_tf = -1\n",
+         "line 3: t_over_tf must be nonnegative, got -1.0"),
+        ("model = vlasov\nk = inf\n", "line 2: bad value for 'k': 'inf'"),
+        ("model = vlasov\nv_max = inf\n",
+         "line 2: bad value for 'v_max': 'inf'"),
+        ("model = wigner\nh = nan\n", "line 2: bad value for 'h': 'nan'"),
+        ("model = vlasov\nsnapshot_times = 1,inf\n",
+         "line 2: bad value for 'snapshot_times': '1,inf'"),
+        ("model = fluid\nh = 1\nk = inf\nn_x = 32\ndt = 0.01\n",
+         "line 3: bad value for 'k': 'inf'"),
+        ("model = vlasov\ndt = 0.3\n",
+         "line 1: t_end must be a whole number of steps of dt=0.3, got 50.0")])
+    def test_each_bad_value_is_one_problem_on_the_line_that_set_it(
+            self, text, expected):
+        # A key left at its default is blamed on the model line.
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [expected]
+
+    def test_the_stream_lattice_check_does_not_build_every_stream(self):
+        # Only the innermost streams decide whether one is occupied, so a
+        # count far past any grid parses at once.
+        text = "model = hartree\nh = 1.0\nn_streams = {}\n"
+        assert parse_config(text.format(10**30)).n_streams == 10**30
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.format(10**30).replace("1.0", "10.0"))
+        [problem] = err.value.problems
+        assert problem.startswith("line 2: h must leave")
+
     def test_all_problems_collected_not_just_the_first(self):
         text = "model = vlasov\nbogus = 3\nn_x = oops\nwhat\n"
         with pytest.raises(ConfigError) as err:
@@ -259,6 +294,48 @@ class TestConfigParsing:
         assert a.config_hash() == b.config_hash()  # same resolved values
         assert a.config_hash() != c.config_hash()
         assert len(a.config_hash()) == 12
+
+
+# Text of the values the parse sweep writes: finite numbers of either sign,
+# zero, the non-finite numbers, and integers far past any grid or float.
+VALUE_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.integers(10**300, 10**400).map(str),
+    st.sampled_from(["0", "-0.0", "inf", "-inf", "nan", "1,inf", "nan,2"]))
+
+
+class TestParseSweep:
+    """Every value of every key a model reads either parses or is one
+    problem of that key, on its line (or on the model line for a key left
+    at its default); never another exception."""
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @seed(23)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_each_bad_value_is_one_problem_of_its_key(self, model, data):
+        equilibrium = data.draw(st.sampled_from(EQUILIBRIA) | VALUE_TEXT)
+        keys = read_keys(model, equilibrium)[1:]
+        written = data.draw(st.lists(st.sampled_from(keys), unique=True))
+        values = {key: equilibrium if key == "equilibrium"
+                  else data.draw(VALUE_TEXT) for key in written}
+        text = "".join(f"{key} = {values[key]}\n" for key in written)
+        try:
+            parse_config(f"model = {model}\n" + text)
+        except ConfigError as err:
+            problems = err.problems
+        else:
+            return
+        on_line = dict(enumerate(("model",) + tuple(written), start=1))
+        left = [key for key in keys if key not in written]
+        sources = [p.split(": ", 1)[0] for p in problems]
+        for source, problem in zip(sources, problems):
+            key = on_line[int(source.removeprefix("line "))]
+            named = [key] if key != "model" else left
+            assert any(re.search(rf"\b{k}\b", problem) for k in named), problem
+            assert key == "model" or sources.count(source) == 1, problems
+        assert sources.count("line 1") <= len(left), problems
 
 
 def parse_csv_rows(text):
@@ -376,6 +453,21 @@ class TestDispersionCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--h", "inf", "H must be nonnegative and finite, got inf"),
+        ("--kmin", "nan", "k must be positive and finite, got nan")])
+    def test_a_non_finite_input_is_an_error_line(self, capsys, flag, value,
+                                                 expected):
+        # Each ran 100 Newton steps on NaN and reported a root that did not
+        # converge.
+        rc = cli.main(["dispersion", "--model", "wigner", "--equilibrium",
+                       "waterbag1d", flag, value]
+                      + ([] if flag == "--h" else ["--h", "1"]))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {expected}\n"
+        assert captured.out == ""
+
     def test_classical_scan_takes_no_planck_constant(self, capsys):
         rc = cli.main(["dispersion", "--model", "vlasov", "--h", "1"])
         assert rc == 2
@@ -413,6 +505,12 @@ dt = 0.1
 t_end = 2.0
 save_final = true
 """
+
+
+# A fluid config whose k read as infinite: validate then raised the grid's
+# "length must be positive" ValueError as a traceback.
+FLUID_INFINITE_K = "model = fluid\nh = 1\nk = inf\nn_x = 32\ndt = 0.01\n"
+INFINITE_K_ERROR = "config error: line 3: bad value for 'k': 'inf'\n"
 
 
 # The config of the strict xfail in test_simulate.py: it parses, then stops
@@ -474,6 +572,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "config error: line 3: t_over_tf must be in (0, 1]" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_non_finite_value_is_one_config_error_line(self, tmp_path,
+                                                          capsys):
+        cfg_path = tmp_path / "fluid.cfg"
+        cfg_path.write_text(FLUID_INFINITE_K)
+        rc = cli.main(["run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == INFINITE_K_ERROR
+        assert "Traceback" not in captured.err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, reason", [
@@ -549,6 +659,18 @@ class TestCompareCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: line 9: gamma must be at least 1, "
                        "got 0.5"]
+        assert not out.exists()
+
+    def test_a_non_finite_value_is_one_config_error_line(self, tmp_path,
+                                                          capsys):
+        a, b = self.write_pair(tmp_path)
+        b.write_text(FLUID_INFINITE_K)
+        out = tmp_path / "cmp"
+        rc = cli.main(["compare", str(a), str(b), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == INFINITE_K_ERROR
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
     def test_an_unreadable_config_is_an_error_line(self, tmp_path, capsys):
