@@ -89,6 +89,9 @@ def cmd_dispersion(args) -> int:
         if args.model in (VLASOV_KINETIC, WIGNER_KINETIC):
             eq = make_equilibrium(args.equilibrium, args.t_over_tf)
         model = DielectricModel(args.model, equilibrium=eq, H=args.h)
+        for k in (args.kmin, args.kmax):  # linspace would warn on inf
+            if not np.isfinite(k):
+                raise ValueError(f"k must be positive and finite, got {k}")
         roots = k_scan(model, np.linspace(args.kmin, args.kmax, args.nk))
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -126,8 +129,9 @@ def _run(cfg, path):
     """simulate.run(cfg), or None after printing why the run stopped."""
     try:
         return simulate.run(cfg)
-    except (ValueError, ArithmeticError) as err:
-        print(f"run error: {path}: {err}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as err:
+        print(f"run error: {path}: {str(err) or type(err).__name__}",
+              file=sys.stderr)
 
 
 def cmd_run(args) -> int:

@@ -26,20 +26,20 @@ a 2D interpolation:
   each column of f is one contiguous row of coefficients.  The n_v + 3
   coefficients a column's taps read are copied into a window indexed
   [i_v, i_x], one slice per run of columns whose feet share a floor, and
-  the four taps are summed from the window's rows straight into the
-  result.  A run whose foot lies beyond the padding reads clipped
-  indices, the zero ends of its rows, so a tap beyond the box reads a
-  zero however far or unevenly the columns move.
+  the four taps are summed from the window straight into the result in
+  one einsum pass over a sliding-window view of it.  A run whose foot
+  lies beyond the padding reads clipped indices, the zero ends of its
+  rows, so a tap beyond the box reads a zero however far or unevenly the
+  columns move.
 
 A step keeps its intermediates in two flat complex work arrays cached per
-grid, which wigner.step shares: A holds the rfft spectrum of a half stream
-and, as a real view, advect_v's products of one tap; B holds the mid-step
-f as a real view, which the first half stream writes and the acceleration
-overwrites.  The last half stream returns a new array, the next state.
-advect_v's coefficients and window are cached per grid on their own, so a
-Wigner run never builds them.  A step therefore allocates little beyond
-the array it returns, and none of this is reentrant across threads; the
-library is single-threaded.
+grid, which wigner.step shares: A holds only spectra, here the rfft
+spectrum of a half stream; B holds the mid-step f as a real view, which
+the first half stream writes and the acceleration overwrites.  The last
+half stream returns a new array, the next state.  advect_v's coefficients
+and window are cached per grid on their own, so a Wigner run never builds
+them.  A step therefore allocates little beyond the array it returns, and
+none of this is reentrant across threads; the library is single-threaded.
 
 Each kernel equals the 2D scipy.ndimage.map_coordinates interpolation with
 the same modes to round-off; tests/test_vlasov.py keeps that interpolation
@@ -54,6 +54,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .equilibria import Equilibrium1D, Perturbation
 from .fields import (PhaseSpaceGrid, field_energy, poisson_periodic,
@@ -125,9 +126,8 @@ def _x_shift_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
 def _scratch(grid: PhaseSpaceGrid):
     """Two flat complex work arrays of the phase-space steps on `grid`, each
     large enough for an rfft of an (n_v, n_x) field over either axis.  A
-    holds a spectrum or, as a real view, advect_v's products of one tap; B
-    holds the mid-step f of a step (as a real view) and wigner's kick
-    factor."""
+    holds only spectra; B holds the mid-step f of a step (as a real view)
+    and wigner's kick factor."""
     n_v, n_x = grid.n_v, grid.spatial.n_x
     size = max((n_v // 2 + 1) * n_x, n_v * (n_x // 2 + 1))
     return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
@@ -141,13 +141,16 @@ def _work(grid: PhaseSpaceGrid, which: int, shape, dtype=complex):
 @functools.lru_cache(maxsize=4)
 def _v_scratch(grid: PhaseSpaceGrid):
     """advect_v's own arrays on `grid`: the spline coefficients indexed
-    [i_x, i_v], with one zero column beyond each end, and the window of
-    n_v + 3 coefficients each column's taps read, indexed [i_v, i_x]."""
+    [i_x, i_v], with one zero column beyond each end, the window of
+    n_v + 3 coefficients each column's taps read, indexed [i_v, i_x], and
+    the taps as a read-only view of it, taps[q, i_x, i_v] =
+    window[i_v + q, i_x]."""
     global spline_filter1d
     from scipy.ndimage import spline_filter1d
     n_v, n_x = grid.n_v, grid.spatial.n_x
-    return (np.zeros((n_x, n_v + 2 * _PREFILTER_PAD + 2)),
-            np.empty((n_v + 3, n_x)))
+    window = np.empty((n_v + 3, n_x))
+    return (np.zeros((n_x, n_v + 2 * _PREFILTER_PAD + 2)), window,
+            sliding_window_view(window, n_v, axis=0))
 
 
 def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float,
@@ -167,7 +170,7 @@ def advect_v(f: np.ndarray, grid: PhaseSpaceGrid, accel: np.ndarray,
     array."""
     n_v, n_x = f.shape
     pad = _PREFILTER_PAD
-    coeffs, window = _v_scratch(grid)
+    coeffs, window, taps = _v_scratch(grid)
     foot = -accel * dt / grid.dv  # row offset of each column's foot
     first = np.floor(foot)
     weights = _spline_taps(foot - first)  # (4, n_x)
@@ -195,11 +198,13 @@ def advect_v(f: np.ndarray, grid: PhaseSpaceGrid, accel: np.ndarray,
         else:
             window[:, lo:hi] = np.take(coeffs[lo:hi], range(s, s + n_v + 3),
                                        axis=1, mode="clip").T
-    prod = _work(grid, 0, f.shape, float)
-    out = np.multiply(window[:n_v], weights[0], out=out)
-    for q in range(1, 4):
-        out += np.multiply(window[q:q + n_v], weights[q], out=prod)
-    return out
+    # One pass over the taps, taps[q, i, j] = window[j + q, i].  Plain
+    # einsum runs numpy's own loops, no BLAS call and no thread, and adds
+    # the four products in the order q = 0 .. 3, the bits of a multiply-add
+    # loop over the taps.
+    if out is None:
+        out = np.empty((n_v, n_x))
+    return np.einsum("qij,qi->ji", taps, weights, out=out)
 
 
 def step(state: VlasovState, dt: float) -> VlasovState:

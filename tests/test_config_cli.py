@@ -468,6 +468,19 @@ class TestDispersionCommand:
         assert captured.err == f"error: {expected}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--kmax", "inf"), ("--kmin", "-inf"), ("--kmax", "nan")])
+    def test_a_non_finite_scan_end_is_refused_before_the_grid(
+            self, capsys, flag, value):
+        # --kmax inf printed numpy's linspace RuntimeWarning before its
+        # error line; the suite turns that warning into an error.
+        rc = cli.main(["dispersion", "--model", "vlasov", f"{flag}={value}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: k must be positive and finite, "
+                                f"got {float(value)}\n")
+        assert captured.out == ""
+
     def test_classical_scan_takes_no_planck_constant(self, capsys):
         rc = cli.main(["dispersion", "--model", "vlasov", "--h", "1"])
         assert rc == 2
@@ -616,6 +629,27 @@ class TestRunCommand:
         [line] = captured.err.splitlines()
         assert line.startswith(f"run error: {cfg_path}: non-neutral box: ")
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error, reason", [
+        (MemoryError(), "MemoryError"),
+        (MemoryError("Unable to allocate 7.28 TiB"),
+         "Unable to allocate 7.28 TiB")])
+    def test_a_run_out_of_memory_is_one_error_line(self, tmp_path, capsys,
+                                                   monkeypatch, error,
+                                                   reason):
+        # The run raises as an oversized config would, without allocating.
+        def out_of_memory(cfg):
+            raise error
+        monkeypatch.setattr(cli.simulate, "run", out_of_memory)
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text(BASE_CONFIG)
+        rc = cli.main(["run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"run error: {cfg_path}: {reason}\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

@@ -102,6 +102,30 @@ def take_advect_v(f, grid, accel, dt):
     return np.ascontiguousarray(taps.T)
 
 
+def multiply_add_advect_v(f, grid, accel, dt):
+    """The v-advection kernel before the one-pass tap sum: the column
+    windows of the kernel, then a multiply and an add per tap in new
+    arrays.  The einsum over the window keeps its bits."""
+    n_v, n_x = f.shape
+    pad = vlasov._PREFILTER_PAD
+    foot = -accel * dt / grid.dv
+    first = np.floor(foot)
+    weights = vlasov._spline_taps(foot - first)
+    first = np.clip(np.nan_to_num(first), -(n_v + pad + 2), n_v + pad + 1)
+    coeffs = np.zeros((n_x, n_v + 2 * pad + 2))
+    coeffs[:, pad + 1:pad + 1 + n_v] = f.T
+    box = coeffs[:, 1:-1]
+    spline_filter1d(box, axis=1, mode="grid-constant", output=box)
+    start = first.astype(np.intp) + pad
+    window = np.empty((n_v + 3, n_x))
+    for i, s in enumerate(start):
+        window[:, i] = np.take(coeffs[i], range(s, s + n_v + 3), mode="clip")
+    out = window[:n_v] * weights[0]
+    for q in range(1, 4):
+        out += window[q:q + n_v] * weights[q]
+    return out
+
+
 def total_mass(state):
     return float(np.sum(state.f)) * state.grid.dv * state.grid.spatial.dx
 
@@ -419,9 +443,10 @@ def feet(kind, n_x):
 
 class TestColumnWindows:
     # advect_v copies each run of columns of equal foot floor as one window
-    # slice; every layout of runs keeps the bits of the three earlier
-    # kernels.
-    REFERENCES = (take_advect_v, gather_advect_v, fresh_advect_v)
+    # slice and sums the taps in one pass; every layout of runs keeps the
+    # bits of the four earlier kernels.
+    REFERENCES = (multiply_add_advect_v, take_advect_v, gather_advect_v,
+                  fresh_advect_v)
     KINDS = ("one run", "a few runs", "every column its own run",
              "edge runs", "edge columns")
 
@@ -483,11 +508,11 @@ class TestColumnWindows:
     def test_a_warm_call_allocates_almost_nothing(self, kind):
         # The 256x256 acceptance state, with its own field or with every
         # column its own run: the taps are summed straight into `out`.  A
-        # ufunc that broadcasts, as the multiply by each tap's weights
-        # does, takes an iterator buffer of np.getbufsize() elements from
-        # numpy 2.3 on (64 KB here); the arrays of the call itself stay
-        # under 0.1 f.nbytes.  The flat takes peaked at 0.29 f.nbytes,
-        # their buffer included.
+        # ufunc that broadcasts, as the former multiply by each tap's
+        # weights did, takes an iterator buffer of np.getbufsize() elements
+        # from numpy 2.3 on (64 KB here); the arrays of the call itself
+        # stay under 0.1 f.nbytes.  The flat takes peaked at 0.29 f.nbytes,
+        # their buffer included; the einsum over the window peaks at 0.05.
         cfg = ScenarioConfig(model="vlasov", n_x=256, n_v=256)
         state = simulate.build_initial(cfg)
         grid = state.grid

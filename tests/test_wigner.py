@@ -2,6 +2,7 @@
 harmonic-oscillator oracle and the semiclassical limit."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ class TestKernelsMatchReference:
         # tolerance.
         assert np.max(np.abs(got - f)) > 1e-3 * np.max(np.abs(f))
 
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("H, dt", [(0.5, 0.01), (2.0, -0.05)])
+    def test_kick_matches_the_cos_sin_factor(self, grid, H, dt):
+        rng = np.random.default_rng(5)
+        f = rng.random((grid.n_v, grid.spatial.n_x))
+        phi = random_potential(grid, rng)
+        got = wigner.potential_kick(f, grid, H, dt, phi)
+        want = cos_sin_potential_kick(f, grid, H, dt, phi)
+        assert np.max(np.abs(got - want)) < KERNEL_TOL * np.max(np.abs(f))
+        assert np.max(np.abs(got - f)) > 1e-3 * np.max(np.abs(f))
+
     def test_each_grid_h_and_dt_uses_its_own_table(self):
         rng = np.random.default_rng(4)
         fields = {grid: (rng.random((grid.n_v, grid.spatial.n_x)),
@@ -194,6 +206,64 @@ class TestKernelsMatchReference:
         assert np.max(np.abs(state.f - f_ref)) < 1e-12 * np.max(np.abs(f_ref))
 
 
+def kick_factor(theta):
+    """The kernel's factor exp(i theta), formed from half of theta as the
+    kick forms it."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    return wigner._kick_factor(0.5 * np.asarray(theta, dtype=float), out)
+
+
+class TestKickFactor:
+    # The factor comes from one tan of the half phase; cos and sin of the
+    # whole phase are the reference.  An ulp is that of the reference
+    # component, or that of 1 for the sampled phases, whose factor has
+    # modulus 1.
+    ULPS = 4
+    PI_NEIGHBOURS = np.nextafter(np.pi, [0.0, 4.0])
+    LARGEST_SUBNORMAL = np.nextafter(np.finfo(float).smallest_normal, 0.0)
+    SPECIAL = np.array([0.0, -0.0, np.pi, -np.pi, *PI_NEIGHBOURS,
+                        *-PI_NEIGHBOURS, 2 * np.pi, -2 * np.pi, 3 * np.pi,
+                        -3 * np.pi, 4 * np.pi, -4 * np.pi, 5e-324, -5e-324,
+                        1e-310, -1e-310, LARGEST_SUBNORMAL,
+                        -LARGEST_SUBNORMAL])
+
+    def test_special_phases_within_four_ulp_of_each_component(self):
+        theta = self.SPECIAL
+        got = kick_factor(theta)
+        for part, want in ((got.real, np.cos(theta)), (got.imag, np.sin(theta))):
+            assert np.all(np.abs(part - want)
+                          <= self.ULPS * np.spacing(np.abs(want)))
+
+    def test_phases_up_to_four_pi_within_four_ulp_of_one(self):
+        theta = np.random.default_rng(6).uniform(-4 * np.pi, 4 * np.pi, 100_000)
+        theta = np.concatenate([theta, self.SPECIAL])
+        got = kick_factor(theta)
+        ulp = np.spacing(1.0)
+        assert np.max(np.abs(got.real - np.cos(theta))) <= self.ULPS * ulp
+        assert np.max(np.abs(got.imag - np.sin(theta))) <= self.ULPS * ulp
+        assert np.max(np.abs(np.abs(got) - 1.0)) <= self.ULPS * ulp
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    def test_the_lambda_zero_and_nyquist_rows_are_exactly_one(self, grid):
+        rng = np.random.default_rng(7)
+        f = rng.random((grid.n_v, grid.spatial.n_x))
+        phi = random_potential(grid, rng)
+        wigner.potential_kick(f, grid, 2.0, 0.05, phi)
+        # The kick factor is left in work array B.
+        shape = (grid.n_v // 2 + 1, grid.spatial.n_x)
+        kick = vlasov._work(grid, 1, shape)
+        assert np.all(kick[[0, -1]] == 1.0)
+        assert not np.all(kick[1:-1] == 1.0)
+
+    def test_nan_propagates_without_a_warning(self):
+        theta = np.array([np.nan, -np.nan, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kick_factor(theta)
+        assert np.all(np.isnan(got.real[:2])) and np.all(np.isnan(got.imag[:2]))
+        assert np.isfinite(got[2])
+
+
 # The kernels before the work arrays: every spectrum, mid-step f and kick
 # factor in a new array.  The work arrays keep the bits.
 def fresh_advect_x(f, grid, dt):
@@ -203,6 +273,24 @@ def fresh_advect_x(f, grid, dt):
 
 
 def fresh_potential_kick(f, grid, H, dt, phi):
+    half = np.fft.irfft(np.fft.rfft(phi) * (-0.5 * dt / hbar_eff(H))
+                        * wigner._kick_shift(grid, H),
+                        n=grid.spatial.n_x, axis=1)
+    half[-1] = 0.0
+    t = np.tan(half)
+    r = 2.0 / (1.0 + t * t)
+    kick = np.empty(half.shape, dtype=complex)
+    kick.real = r - 1.0
+    kick.imag = t * r
+    g = np.fft.rfft(f, axis=0)
+    g *= kick
+    return np.fft.irfft(g, n=grid.n_v, axis=0)
+
+
+def cos_sin_potential_kick(f, grid, H, dt, phi):
+    """The kick before the half-angle factor: the whole phase, and the
+    factor from a cos and a sin of it.  The tan factor matches it to
+    round-off."""
     scale = dt / hbar_eff(H)
     phase = -np.fft.irfft(np.fft.rfft(phi) * scale * wigner._kick_shift(grid, H),
                           n=grid.spatial.n_x, axis=1)
