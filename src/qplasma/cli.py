@@ -9,6 +9,8 @@ and every emitted file embeds the config hash.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -84,6 +86,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
+    if args.out and (err := _out_in_the_way(args.out, directory=False)):
+        return _path_error(err, args.out)
     eq = None
     try:
         if args.model in (VLASOV_KINETIC, WIGNER_KINETIC):
@@ -100,11 +104,37 @@ def cmd_dispersion(args) -> int:
         ("k", "re_omega", "im_omega", "residual", "trusted"),
         [(r.k, r.omega.real, r.omega.imag, r.residual, r.continuation_trusted)
          for r in roots])
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(args.out).write_text(text)
+    except OSError as err:
+        return _path_error(err, args.out)
     return 0
+
+
+def _out_in_the_way(out, directory: bool) -> OSError | None:
+    """The OSError that a path in the way would give `out` when it takes a
+    command's output, a directory (made with its parents) or else a file.
+    Checked before the work, so that no run or scan is lost to it."""
+    path = Path(out)
+    first = next((p for p in (path, *path.parents) if p.exists()), path)
+    if first == path and not directory:
+        code = errno.EISDIR if path.is_dir() else None
+    elif not first.is_dir():
+        code = errno.ENOTDIR
+    else:
+        code = None if directory or first == path.parent else errno.ENOENT
+    return OSError(code, os.strerror(code), out) if code else None
+
+
+def _path_error(err: OSError, out) -> int:
+    """Report an output that cannot be written as one line; a failed write
+    to an open file names no path, so `out` stands for it."""
+    print(f"error: {err.filename or out}: {err.strerror or err}",
+          file=sys.stderr)
+    return 2
 
 
 def _load_configs(paths, overrides):
@@ -139,10 +169,15 @@ def cmd_run(args) -> int:
     if cfgs is None:
         return 2
     [cfg] = cfgs
+    if err := _out_in_the_way(args.out, directory=True):
+        return _path_error(err, args.out)
     result = _run(cfg, args.config)
     if result is None:
         return 3
-    paths = simulate.write_outputs(cfg, result, args.out)
+    try:
+        paths = simulate.write_outputs(cfg, result, args.out)
+    except OSError as err:
+        return _path_error(err, args.out)
     for p in paths:
         print(p)
     return 0
@@ -161,22 +196,28 @@ def cmd_compare(args) -> int:
         print(f"error: configs differ in grid/time keys {mismatched}; "
               "compare requires matching discretization", file=sys.stderr)
         return 2
+    if err := _out_in_the_way(args.out, directory=True):
+        return _path_error(err, args.out)
     sa = _run(cfg_a, args.config_a)
     sb = sa and _run(cfg_b, args.config_b)  # b runs only if a ran
     if sb is None:
         return 3
     sa, sb = sa.series, sb.series
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / (f"compare_{cfg_a.model}_{cfg_a.config_hash()}_"
                   f"{cfg_b.model}_{cfg_b.config_hash()}.csv")
-    path.write_text(format_table(
+    text = format_table(
         ("t", "field_energy_a", "field_energy_b", "total_energy_a",
          "total_energy_b"),
         zip(sa.times, sa.field_energy, sb.field_energy, sa.total_energy,
             sb.total_energy),
         f"config_hash_a={cfg_a.config_hash()} "
-        f"config_hash_b={cfg_b.config_hash()}"))
+        f"config_hash_b={cfg_b.config_hash()}")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as err:
+        return _path_error(err, args.out)
     print(path)
     return 0
 

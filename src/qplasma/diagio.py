@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -147,26 +149,49 @@ def write_snapshot(path, channels: dict, header: dict) -> None:
                        header_bytes, *arrays])
 
 
+# The header fields read_snapshot reads, each with its test.
+_HEADER_FIELDS = {
+    "shape": lambda v: isinstance(v, list) and all(
+        type(n) is int and n >= 0 for n in v),
+    "channels": lambda v: isinstance(v, list) and all(
+        isinstance(c, str) for c in v),
+    "payload_crc32": lambda v: type(v) is int,
+}
+
+
 def read_snapshot(path):
     """Returns (header dict, {channel: array}); verifies the checksum and
     that the payload holds exactly the channels and shape the header names.
-    The channels are views of one array that the payload is read into."""
+    The channels are views of one array that the payload is read into.  A
+    file that is not such a snapshot raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"not a snapshot file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise ValueError("snapshot file ends inside its header")
+        version, hlen = struct.unpack("<II", prefix)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode("utf-8"))
+        bad = [key for key, ok in _HEADER_FIELDS.items()
+               if not (isinstance(header, dict) and ok(header.get(key)))]
+        if bad:
+            raise ValueError(f"snapshot header has no valid {', '.join(bad)}")
         shape = tuple(header["shape"])
         names = header["channels"]
         size = 8 * len(names) * math.prod(shape)
-        data = np.empty(size // 8, dtype="<f8")
-        length = fh.readinto(data)  # short only at the end of the file
+        # A file's payload length is checked before the payload array is
+        # allocated, so a header cannot ask for more memory than the file
+        # holds; a pipe's is what can be read into the array.
+        info = os.fstat(fh.fileno())
+        length = info.st_size - fh.tell() if S_ISREG(info.st_mode) else size
         if length == size:
-            length += len(fh.read())
+            data = np.empty(size // 8, dtype="<f8")
+            length = fh.readinto(data)  # short only at the end of the file
+            if length == size:
+                length += len(fh.read())
         if length != size:
             raise ValueError(
                 f"snapshot payload is {length} bytes, but {len(names)} "

@@ -32,14 +32,15 @@ a 2D interpolation:
   rows, so a tap beyond the box reads a zero however far or unevenly the
   columns move.
 
+Both phase-space models step through one Strang body, _strang, and stream
+through one row shift, _shift_rows; wigner passes its own table and kick.
 A step keeps its intermediates in two flat complex work arrays cached per
-grid, which wigner.step shares: A holds only spectra, here the rfft
-spectrum of a half stream; B holds the mid-step f as a real view, which
-the first half stream writes and the acceleration overwrites.  The last
-half stream returns a new array, the next state.  advect_v's coefficients
-and window are cached per grid on their own, so a Wigner run never builds
-them.  A step therefore allocates little beyond the array it returns, and
-none of this is reentrant across threads; the library is single-threaded.
+grid: A holds only spectra, here the rfft spectrum of a half stream; B
+holds the mid-step f as a real view, which the first half stream writes
+and the kick overwrites.  The last half stream returns a new array, the
+next state.  advect_v's coefficients and window are cached per grid on
+their own, so a Wigner run never builds them.  A step allocates little
+beyond the array it returns and is not reentrant across threads.
 
 Each kernel equals the 2D scipy.ndimage.map_coordinates interpolation with
 the same modes to round-off; tests/test_vlasov.py keeps that interpolation
@@ -51,14 +52,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .equilibria import Equilibrium1D, Perturbation
-from .fields import (PhaseSpaceGrid, field_energy, poisson_periodic,
-                     spectral_derivative)
+from .fields import (PhaseSpaceGrid, _read_only, field_energy,
+                     poisson_periodic, spectral_derivative)
 
 # Zero rows scipy.ndimage puts on each side of the velocity axis before the
 # "grid-constant" spline prefilter; the coefficients depend on this count.
@@ -118,8 +119,7 @@ def _x_shift_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     for q, w in zip(range(-1, 3), weights):
         table += w[:, None] * roots[((nodes + q) * k) % n_x]
     table /= (4.0 + 2.0 * np.cos(2.0 * np.pi * k / n_x)) / 6.0
-    table.flags.writeable = False
-    return table
+    return _read_only(table)
 
 
 @functools.lru_cache(maxsize=4)
@@ -153,14 +153,20 @@ def _v_scratch(grid: PhaseSpaceGrid):
             sliding_window_view(window, n_v, axis=0))
 
 
+def _shift_rows(f: np.ndarray, grid: PhaseSpaceGrid, table: np.ndarray, out):
+    """Each velocity row's rfft over x times its row of `table` [i_v, k],
+    through work array A; into `out` when given, else a new array."""
+    n_x = grid.spatial.n_x
+    fhat = np.fft.rfft(f, axis=1, out=_work(grid, 0, (grid.n_v, n_x // 2 + 1)))
+    fhat *= table
+    return np.fft.irfft(fhat, n=n_x, axis=1, out=out)
+
+
 def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float,
              out: np.ndarray | None = None) -> np.ndarray:
     """Free streaming: f(x, v) <- f(x - v dt, v), periodic in x; the result
     goes to `out` when given, else to a new array."""
-    n_x = grid.spatial.n_x
-    fhat = np.fft.rfft(f, axis=1, out=_work(grid, 0, (grid.n_v, n_x // 2 + 1)))
-    fhat *= _x_shift_table(grid, dt)
-    return np.fft.irfft(fhat, n=n_x, axis=1, out=out)
+    return _shift_rows(f, grid, _x_shift_table(grid, dt), out)
 
 
 def advect_v(f: np.ndarray, grid: PhaseSpaceGrid, accel: np.ndarray,
@@ -207,20 +213,25 @@ def advect_v(f: np.ndarray, grid: PhaseSpaceGrid, accel: np.ndarray,
     return np.einsum("qij,qi->ji", taps, weights, out=out)
 
 
-def step(state: VlasovState, dt: float) -> VlasovState:
-    """One Strang-split step; second order in dt."""
+def _strang(state: VlasovState, dt: float, stream, kick) -> VlasovState:
+    """One Strang-split step, second order in dt: a half `stream`, Poisson,
+    `kick(f, phi, out)`, a half stream and one finite check.  The mid-step f
+    lives in work array B; the next state's f is a new array."""
     grid = state.grid
-    # The mid-step f lives in work array B; the last half stream returns a
-    # new array, the next state.
     mid = _work(grid, 1, state.f.shape, float)
-    f = advect_x(state.f, grid, 0.5 * dt, out=mid)
+    f = stream(state.f, grid, 0.5 * dt, out=mid)
     phi = poisson_periodic(np.sum(f, axis=0) * grid.dv, grid.spatial)
-    accel = spectral_derivative(phi, grid.spatial)
-    f = advect_v(f, grid, accel, dt, out=mid)
-    f = advect_x(f, grid, 0.5 * dt)
+    f = stream(kick(f, phi, mid), grid, 0.5 * dt)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("non-finite values in f")
-    return VlasovState(f, grid)
+    return replace(state, f=f)
+
+
+def step(state: VlasovState, dt: float) -> VlasovState:
+    """One Strang-split step; the kick accelerates by a = dphi/dx."""
+    grid = state.grid
+    return _strang(state, dt, advect_x, lambda f, phi, out: advect_v(
+        f, grid, spectral_derivative(phi, grid.spatial), dt, out=out))
 
 
 def diagnostics(state: VlasovState):

@@ -33,10 +33,9 @@ The tables that depend only on the grid and H (the spectral shift
 streaming phases exp(-i k v dt)) are built once and kept, read-only, in
 small functools.lru_cache helpers.
 
-A step keeps its spectra, mid-step f and kick factor in the two work
-arrays per grid that the vlasov module owns and vlasov.step shares
-(vlasov._work), so it allocates little beyond the array it returns; like
-vlasov.step it is not reentrant across threads.
+A step runs vlasov's Strang body, and its half stream vlasov's row shift,
+with this module's kick and table; the vlasov module describes the work
+arrays they share, which also hold the kick's spectra and factor.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import Equilibrium1D, Perturbation, hbar_eff
-from .fields import PhaseSpaceGrid, poisson_periodic
+from .fields import PhaseSpaceGrid, _read_only
 from . import vlasov as _vlasov
 
 
@@ -87,20 +86,14 @@ def from_phase_space_field(f: np.ndarray, grid: PhaseSpaceGrid,
 def _stream_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     """Phase shift exp(-i k v dt), indexed [i_v, k], of an rfft over x."""
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.spatial.n_x, d=grid.spatial.dx)
-    table = np.exp(-1j * k[None, :] * grid.v[:, None] * dt)
-    table.flags.writeable = False
-    return table
+    return _read_only(np.exp(-1j * k[None, :] * grid.v[:, None] * dt))
 
 
 def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float,
              out: np.ndarray | None = None) -> np.ndarray:
     """Exact free streaming: phase shift exp(-i k v dt) per velocity row,
     written to `out` when given, else to a new array."""
-    n_x = grid.spatial.n_x
-    fhat = np.fft.rfft(f, axis=1,
-                       out=_vlasov._work(grid, 0, (grid.n_v, n_x // 2 + 1)))
-    fhat *= _stream_table(grid, dt)
-    return np.fft.irfft(fhat, n=n_x, axis=1, out=out)
+    return _vlasov._shift_rows(f, grid, _stream_table(grid, dt), out)
 
 
 @functools.lru_cache(maxsize=4)
@@ -112,9 +105,7 @@ def _kick_shift(grid: PhaseSpaceGrid, H: float) -> np.ndarray:
     # is odd in lam, so only its sign changes.
     lam = np.abs(lambda_nodes(grid, H)[:grid.n_v // 2 + 1])
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.spatial.n_x, d=grid.spatial.dx)
-    shift = 2j * np.sin(0.5 * k[None, :] * lam[:, None])
-    shift.flags.writeable = False
-    return shift
+    return _read_only(2j * np.sin(0.5 * k[None, :] * lam[:, None]))
 
 
 def potential_kick(f: np.ndarray, grid: PhaseSpaceGrid, H: float, dt: float,
@@ -158,17 +149,8 @@ def step(state: WignerState, dt: float) -> WignerState:
     """One Strang-split step: half stream, field solve, kick, half stream."""
     if state.H <= 0:
         raise ValueError("quantum transport requires H > 0")
-    grid = state.grid
-    # The mid-step f lives in work array B; the last half stream returns a
-    # new array, the next state.
-    mid = _vlasov._work(grid, 1, state.f.shape, float)
-    f = advect_x(state.f, grid, 0.5 * dt, out=mid)
-    phi = poisson_periodic(np.sum(f, axis=0) * grid.dv, grid.spatial)
-    f = potential_kick(f, grid, state.H, dt, phi, out=mid)
-    f = advect_x(f, grid, 0.5 * dt)
-    if not np.all(np.isfinite(f)):
-        raise FloatingPointError("non-finite values in f")
-    return WignerState(f, state.grid, state.H)
+    return _vlasov._strang(state, dt, advect_x, lambda f, phi, out: (
+        potential_kick(f, state.grid, state.H, dt, phi, out=out)))
 
 
 # The diagnostics read only f and its grid, as for the classical model.

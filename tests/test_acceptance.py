@@ -2,7 +2,8 @@
 
 Each test prints a single pass/fail summary line; run with `pytest -s
 tests/test_acceptance.py` to see all of them.  The nonlinear benchmark runs
-share module-scoped simulations, so the whole file takes a few minutes.
+share module-scoped simulations, so the whole file takes about 20 s (18.4
+and 19.0 s on a 2-core VM with Python 3.11 and numpy 2.4).
 """
 
 import numpy as np

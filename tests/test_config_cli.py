@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qplasma import cli
 from qplasma.config import (COMMON_KEYS, EQUILIBRIA, ConfigError,
                             ScenarioConfig, parse_config, read_keys)
+from qplasma.dispersion import fluid_omega_sq
 from qplasma.simulate import MODELS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -389,6 +390,23 @@ class TestParamsCommand:
         rc = cli.main(["params", "--density", "1e28"])
         assert rc == 2
 
+    def test_text_report_is_the_csv_aligned_to_six_digits(self, capsys):
+        assert cli.main(["params", "--material", "gold", "--csv"]) == 0
+        rows = parse_csv_rows(capsys.readouterr().out)
+        assert cli.main(["params", "--material", "gold"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(rows)
+        column = max(len(name) for name in rows) + 2
+        for line, (name, value) in zip(lines, rows.items()):
+            assert line[:column] == f"{name:<{column}}"
+            shown = line[column:]
+            if value in ("true", "false"):
+                assert shown == str(value == "true")
+            elif value.isalpha():
+                assert shown == value
+            else:
+                assert shown == f"{float(value):.6g}"
+
     @pytest.mark.parametrize("density, temperature, name, shown", [
         ("-1", "300", "number_density", "-1.0"),
         ("1e28", "0", "temperature", "0.0"),
@@ -421,6 +439,18 @@ class TestDispersionCommand:
             assert abs(im) < 1e-10
             assert res < 1e-10
             assert trusted == "true"
+
+    def test_fluid_scan_satisfies_the_closed_form(self, capsys):
+        rc = cli.main(["dispersion", "--model", "fluid", "--h", "1",
+                       "--kmin", "0.1", "--kmax", "2.0", "--nk", "8"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9
+        for line in lines[1:]:
+            k, re, im, res = (float(v) for v in line.split(",")[:4])
+            assert abs(re - np.sqrt(fluid_omega_sq(k, H=1.0))) < 1e-10
+            assert im == 0.0
+            assert line.endswith(",true")
 
     def test_roots_beyond_the_trusted_continuation_are_marked(self, capsys):
         # At T = T_F the damping passes half the frequency between K = 1.7
@@ -761,6 +791,102 @@ class TestCompareCommand:
         rc = cli.main(["compare", str(a), str(b), "--out", str(tmp_path)])
         assert rc == 2
         assert "['n_v']" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    """An --out that cannot take a command's output is one error line with
+    exit 2, found before any run or scan starts; a write that fails after
+    the work is the same line, never a traceback."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """The runs and scans the command starts."""
+        started = []
+        run, scan = cli.simulate.run, cli.k_scan
+        monkeypatch.setattr(cli.simulate, "run",
+                            lambda cfg: started.append(cfg) or run(cfg))
+        monkeypatch.setattr(cli, "k_scan",
+                            lambda *a: started.append(a) or scan(*a))
+        return started
+
+    @staticmethod
+    def config(tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(BASE_CONFIG.replace("t_end = 2.0", "t_end = 0.2"))
+        return path
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("out", ["file", "file/x", "file/x/y"])
+    def test_a_file_in_the_way_of_the_directory_is_refused(
+            self, tmp_path, capsys, work, command, out):
+        cfg = self.config(tmp_path)
+        (tmp_path / "file").write_text("kept")
+        args = (["run", "--config", str(cfg)] if command == "run"
+                else ["compare", str(cfg), str(cfg)])
+        rc = cli.main(args + ["--out", str(tmp_path / out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path / out}: Not a directory\n"
+        assert captured.out == ""
+        assert work == []
+        assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("out, reason", [
+        ("dir", "Is a directory"),
+        ("missing/scan.csv", "No such file or directory"),
+        ("file/scan.csv", "Not a directory")])
+    def test_a_scan_path_that_cannot_be_a_file_is_refused(
+            self, tmp_path, capsys, work, out, reason):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("kept")
+        rc = cli.main(["dispersion", "--model", "fluid", "--h", "1",
+                       "--out", str(tmp_path / out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path / out}: {reason}\n"
+        assert captured.out == ""
+        assert work == []
+
+    def test_an_existing_scan_file_is_overwritten(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        out.write_text("old")
+        rc = cli.main(["dispersion", "--model", "fluid", "--h", "1",
+                       "--nk", "2", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().startswith("k,re_omega")
+
+    @pytest.mark.parametrize("command", ["run", "compare", "dispersion"])
+    @pytest.mark.parametrize("error", [
+        PermissionError(13, "Permission denied", "written"),
+        OSError(28, "No space left on device")])
+    def test_a_write_that_fails_after_the_work_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch, work, command, error):
+        # A path the check lets through can still fail to be written, for
+        # want of permission or of space; the suite may run as root, so the
+        # write itself is made to fail.  A failed write to an open file
+        # names no path, and the line names the --out path instead.
+        cfg = self.config(tmp_path)
+        out = tmp_path / ("scan.csv" if command == "dispersion" else "out")
+
+        def fail(path, *args, **kwargs):
+            if error.filename is not None:
+                error.filename = str(path)
+            raise error
+        monkeypatch.setattr(Path, "write_text", fail)
+        args = {"run": ["run", "--config", str(cfg)],
+                "compare": ["compare", str(cfg), str(cfg)],
+                "dispersion": ["dispersion", "--model", "fluid", "--h", "1",
+                               "--nk", "2"]}[command]
+        rc = cli.main(args + ["--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {out}")
+        assert line.endswith(f": {error.strerror}")
+        if error.filename is None:
+            assert line == f"error: {out}: {error.strerror}"
+        assert captured.out == ""
+        assert len(work) == (2 if command == "compare" else 1)
 
 
 class TestImportFootprint:

@@ -13,8 +13,8 @@ import pytest
 from scipy.stats import linregress
 
 from qplasma import simulate
-from qplasma.diagio import (DiagnosticSeries, SeriesRecorder, _line_fit,
-                            damping_halt_time, detect_vortex,
+from qplasma.diagio import (SNAPSHOT_MAGIC, DiagnosticSeries, SeriesRecorder,
+                            _line_fit, damping_halt_time, detect_vortex,
                             fit_damping_rate, format_table, read_series_csv,
                             read_snapshot, write_series_csv, write_snapshot)
 from qplasma.equilibria import StreamSet
@@ -307,6 +307,52 @@ class TestSnapshots:
         finally:
             tracemalloc.stop()
         assert peak <= limit * state.f.nbytes
+
+    GOOD_HEADER = {"shape": [2, 3], "channels": ["f"], "payload_crc32": 0}
+
+    @staticmethod
+    def container(header_bytes, payload=bytes(48)):
+        return (SNAPSHOT_MAGIC + struct.pack("<II", 1, len(header_bytes))
+                + header_bytes + payload)
+
+    @pytest.mark.parametrize("raw, message", [
+        # Each raised struct.error, KeyError or TypeError, not ValueError.
+        (SNAPSHOT_MAGIC + b"\x01\x00", "ends inside its header"),
+        (b"{}", "no valid shape, channels, payload_crc32"),
+        (b"[1]", "no valid shape, channels, payload_crc32"),
+        ({"shape": "23"}, "no valid shape"),
+        ({"channels": 1}, "no valid channels"),
+        # And these: a length past the end, bytes that are not UTF-8, a
+        # shape of floats, bools or negative sizes, a checksum as text.
+        (SNAPSHOT_MAGIC + struct.pack("<II", 1, 99) + b'{"shape": [2',
+         "Expecting"),
+        (b"\xff{}", "utf-8"),
+        ({"shape": [2.0, 3]}, "no valid shape"),
+        ({"shape": [True, 3]}, "no valid shape"),
+        ({"shape": [-2, -3]}, "no valid shape"),
+        ({"channels": ["f", 1]}, "no valid channels"),
+        ({"payload_crc32": "0"}, "no valid payload_crc32"),
+        # A shape whose payload would not fit in memory raised MemoryError
+        # while the payload array was allocated.
+        ({"shape": [10**6, 10**6]}, "payload is 48 bytes, but 1 channels "
+                                    "of shape \\[1000000, 1000000\\]")])
+    def test_a_malformed_file_is_a_value_error(self, tmp_path, raw, message):
+        if isinstance(raw, dict):
+            raw = json.dumps(dict(self.GOOD_HEADER, **raw)).encode()
+        if not raw.startswith(SNAPSHOT_MAGIC):
+            raw = self.container(raw)
+        path = tmp_path / "bad.qpsn"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=message):
+            read_snapshot(path)
+
+    def test_the_hand_made_container_reads(self, tmp_path):
+        # The malformed cases above differ from this file in one field.
+        path = tmp_path / "good.qpsn"
+        path.write_bytes(self.container(json.dumps(dict(
+            self.GOOD_HEADER, payload_crc32=zlib.crc32(bytes(48)))).encode()))
+        header, channels = read_snapshot(path)
+        assert np.array_equal(channels["f"], np.zeros((2, 3)))
 
     def test_wrong_magic_is_rejected(self, tmp_path):
         path = tmp_path / "bogus.qpsn"

@@ -63,6 +63,21 @@ class TestTrivialDynamics:
         with pytest.raises(FloatingPointError):
             hartree.step(streams, 0.01)
 
+    def test_a_non_finite_kick_stops_the_step_that_made_it(self):
+        # A NaN in the state stops in the Poisson solve first; one from the
+        # kick's potential must stop at the step's own check.
+        grid = SpatialGrid(2.0 * np.pi, 64)
+        spec = fd_stream_occupations(0.0, 1.0, (-0.5, 0.5))
+        streams = plane_wave_mixture(spec, grid, 1.0)
+
+        def one_nan(n):
+            potential = np.zeros_like(n)
+            potential[5] = np.nan
+            return potential
+
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            hartree._split_step(streams, 0.01, one_nan)
+
 
 class TestTwoStreamFrequency:
     def test_density_mode_frequencies_match_the_dispersion_roots(self):

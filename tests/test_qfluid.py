@@ -5,7 +5,8 @@ split-step resonance guard."""
 import numpy as np
 import pytest
 
-from qplasma import hartree, qfluid
+from qplasma import hartree, qfluid, simulate
+from qplasma.config import ScenarioConfig
 from qplasma.diagio import fit_damping_rate
 from qplasma.dispersion import fluid_omega_sq
 from qplasma.equilibria import Perturbation, hbar_eff
@@ -128,6 +129,26 @@ class TestConservation:
                                           np.asarray(energy),
                                           window=(5.0, 50.0))
         assert abs(gamma) < 1e-3
+
+
+class TestIsothermalClosure:
+    @pytest.mark.parametrize("gamma", [1.0, 5.0 / 3.0, 3.0])
+    def test_enthalpy_is_the_derivative_of_the_internal_energy(self, gamma):
+        # Central differences; gamma = 1 is the logarithmic branch of both.
+        n, h = np.linspace(0.5, 1.5, 21), 1e-5
+        slope = (qfluid.internal_energy(n + h, gamma, 1.0 / 3.0)
+                 - qfluid.internal_energy(n - h, gamma, 1.0 / 3.0)) / (2 * h)
+        assert np.max(np.abs(slope - qfluid.enthalpy(n, gamma, 1.0 / 3.0))) \
+            < 1e-9
+
+    def test_an_isothermal_run_conserves_mass_and_energy(self):
+        cfg = ScenarioConfig(model="fluid", gamma=1.0, alpha=0.05, h=1.0,
+                             n_x=64, dt=0.01, t_end=10.0, output_every=100)
+        series = simulate.run(cfg).series
+        assert series.times[-1] == 10.0
+        assert np.max(np.abs(series.mass - series.mass[0])) < 1e-12
+        assert np.max(np.abs(series.total_energy - series.total_energy[0])) \
+            < 1e-6
 
 
 class TestResonanceGuard:

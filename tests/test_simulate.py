@@ -2,6 +2,8 @@
 step function, exact read-back of every file write_outputs produces and
 byte-identical files from two runs of one config."""
 
+import warnings
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 from qplasma import diagio, hartree, qfluid, simulate, vlasov, wigner
-from qplasma.config import (COMMON_KEYS, ConfigError, ScenarioConfig,
-                            parse_config)
+from qplasma.config import (COMMON_KEYS, EQUILIBRIA, ConfigError,
+                            ScenarioConfig, parse_config, read_keys)
 from qplasma.equilibria import stream_lattice_spec
 from qplasma.simulate import MODELS
 
@@ -133,6 +135,26 @@ def test_run_looks_up_the_solver_step_at_call_time(model, monkeypatch):
 
 
 @pytest.mark.parametrize("model", sorted(CONFIGS))
+def test_non_finite_diagnostics_stop_the_run(model, monkeypatch):
+    # The diagnostics of a finite state can still overflow; the run must
+    # stop at the record that holds them, not write them.
+    module = SOLVERS[model]
+    original = module.diagnostics
+    calls = []
+
+    def nan_on_the_third(state):
+        calls.append(state)
+        values = original(state)
+        return values if len(calls) < 3 else (np.nan, *values[1:])
+
+    monkeypatch.setattr(module, "diagnostics", nan_on_the_third)
+    cfg = CONFIGS[model]
+    with pytest.raises(FloatingPointError,
+                       match=rf"non-finite diagnostics at t={2 * cfg.dt:.3f}"):
+        simulate.run(cfg)
+
+
+@pytest.mark.parametrize("model", sorted(CONFIGS))
 def test_written_files_read_back_equal_to_the_run(model, tmp_path):
     cfg = CONFIGS[model]
     result = simulate.run(cfg)
@@ -201,3 +223,78 @@ def test_coarse_velocity_grid_is_rejected_or_runs():
     except ConfigError:
         return
     simulate.run(cfg)
+
+
+# The run half of the accepted-config sweep (ROADMAP item 12); the parse
+# half is TestParseSweep in test_config_cli.py.
+SWEEP_SEED = 12
+SWEEP_DRAWS = 200
+# The guard warnings a run may raise, by a phrase of their text.
+GUARDS = ("kick phase", "split-step resonance")
+
+
+def log_uniform(rng, lo, hi):
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def draw_config_text(rng, model):
+    """The text of a `model` config drawn over every range validate accepts,
+    at small sizes: n_x <= 64, n_v <= 128 and at most 40 steps.  A range
+    without an upper end is drawn log-uniform over several decades; alpha
+    and gamma also take their end points."""
+    steps = int(rng.integers(1, 41))
+    dt = log_uniform(rng, 1e-3, 10.0)
+    snaps = rng.integers(0, steps + 1, size=rng.integers(0, 3))
+    values = {
+        "model": model,
+        "equilibrium": EQUILIBRIA[rng.integers(len(EQUILIBRIA))],
+        "t_over_tf": log_uniform(rng, 1e-4, 1.0),
+        "alpha": float(rng.choice([0.0, 1.0, rng.uniform()])),
+        "k": log_uniform(rng, 1e-2, 1e2),
+        "h": log_uniform(rng, 1e-3, 1e2),
+        "n_x": int(rng.integers(8, 65)),
+        "n_v": 2 * int(rng.integers(4, 65)),
+        "v_max": log_uniform(rng, 0.1, 100.0),
+        "dt": dt,
+        "t_end": steps * dt,
+        "output_every": int(rng.integers(1, 51)),
+        "snapshot_times": ",".join(repr(int(j) * dt) for j in snaps),
+        "save_final": bool(rng.integers(2)),
+        "gamma": float(rng.choice([1.0, 1.0 + log_uniform(rng, 1e-2, 10.0)])),
+        "p0": log_uniform(rng, 1e-2, 1e2),
+        "n_streams": int(rng.integers(1, 17)),
+    }
+    keys = read_keys(model, values["equilibrium"])
+    return "".join(f"{key} = {v}\n" for key, v in values.items() if key in keys)
+
+
+class TestRunSweep:
+    """Every accepted config runs to t_end.  Guard warnings are outcomes,
+    not errors: each is caught and counted, and only the guards' own may
+    appear."""
+
+    @pytest.mark.parametrize("model", [
+        "wigner", "hartree", "fluid",
+        # About half the accepted vlasov configs lose mass through the
+        # velocity-box edge and stop in the neutrality check.
+        pytest.param("vlasov", marks=pytest.mark.xfail(
+            strict=True, raises=ValueError, reason="ROADMAP item 3"))])
+    def test_every_accepted_config_runs_to_t_end(self, model):
+        rng = np.random.default_rng(SWEEP_SEED)
+        ran, fired = 0, Counter()
+        for _ in range(SWEEP_DRAWS):
+            try:
+                cfg = parse_config(draw_config_text(rng, model))
+            except ConfigError:
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                series = simulate.run(cfg).series
+            assert series.times[-1] == pytest.approx(cfg.t_end, rel=1e-9)
+            ran += 1
+            fired.update(next((g for g in GUARDS if g in str(w.message)),
+                              str(w.message)) for w in caught)
+        assert ran >= SWEEP_DRAWS // 4
+        assert set(fired) <= set(GUARDS), fired
+        # The draws reach a kick phase past pi.
+        assert (fired["kick phase"] > 0) == (model == "wigner")

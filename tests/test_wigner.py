@@ -25,6 +25,24 @@ class TestStepBasics:
         with pytest.raises(ValueError):
             wigner.step(state, 0.05)
 
+    def test_a_non_finite_kick_stops_the_step_that_made_it(self,
+                                                            monkeypatch):
+        # One NaN from the kick: the last half stream spreads it along its
+        # row, and the step must raise rather than return it.
+        kick = wigner.potential_kick
+
+        def one_nan(*args, **kwargs):
+            out = kick(*args, **kwargs)
+            out[20, 5] = np.nan
+            return out
+
+        grid = make_grid(n_x=32, n_v=64)
+        state = wigner.initial_state(grid, projected_fd_zero_t(), 1.0,
+                                     Perturbation(0.01, 1.0))
+        monkeypatch.setattr(wigner, "potential_kick", one_nan)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            wigner.step(state, 0.05)
+
     def test_without_field_matches_free_streaming(self):
         grid = make_grid()
         state = wigner.initial_state(grid, projected_fd_finite_t(t_over_tf=0.05),
