@@ -1,5 +1,5 @@
-"""Run diagnostics (energy series, damping-rate fits, vortex detection)
-and the bit-stable on-disk formats: CSV tables and snapshot containers.
+"""A run's diagnostic series and its bit-stable on-disk formats: CSV
+tables and snapshot containers.
 
 Series files are CSV tables (`format_table`), read back by the column
 names of their header row: t,field_energy,kinetic_energy,total_energy,
@@ -22,8 +22,6 @@ from pathlib import Path
 from stat import S_ISREG
 
 import numpy as np
-
-from .fields import PhaseSpaceGrid
 
 SNAPSHOT_MAGIC = b"QPSN"
 SNAPSHOT_VERSION = 1
@@ -184,14 +182,23 @@ def read_snapshot(path):
         size = 8 * len(names) * math.prod(shape)
         # A file's payload length is checked before the payload array is
         # allocated, so a header cannot ask for more memory than the file
-        # holds; a pipe's is what can be read into the array.
+        # holds; a pipe's is read in pieces of at most 1 MiB, so that memory
+        # grows only with what arrives.
         info = os.fstat(fh.fileno())
-        length = info.st_size - fh.tell() if S_ISREG(info.st_mode) else size
-        if length == size:
-            data = np.empty(size // 8, dtype="<f8")
-            length = fh.readinto(data)  # short only at the end of the file
+        if S_ISREG(info.st_mode):
+            length = info.st_size - fh.tell()
             if length == size:
-                length += len(fh.read())
+                data = np.empty(size // 8, dtype="<f8")
+                length = fh.readinto(data)  # short only at the end of the file
+                if length == size:
+                    length += len(fh.read())
+        else:
+            buf = bytearray()
+            while len(buf) < size and (piece := fh.read(
+                    min(size - len(buf), 1 << 20))):
+                buf += piece
+            length = len(buf) + len(fh.read())
+            data = np.frombuffer(buf, dtype="<f8") if length == size else None
         if length != size:
             raise ValueError(
                 f"snapshot payload is {length} bytes, but {len(names)} "
@@ -199,140 +206,3 @@ def read_snapshot(path):
     if (zlib.crc32(data) & 0xFFFFFFFF) != header["payload_crc32"]:
         raise ValueError("snapshot payload checksum mismatch")
     return header, dict(zip(names, data.reshape(len(names), *shape)))
-
-
-def _line_fit(x: np.ndarray, y: np.ndarray):
-    """Least-squares slope of y against x and its standard error, as
-    scipy.stats.linregress gives them (error 0 for two points)."""
-    dx = x - np.mean(x)
-    dy = y - np.mean(y)
-    sxx = float(dx @ dx)
-    slope = float(dx @ dy) / sxx
-    if x.size == 2:
-        return slope, 0.0
-    resid = dy - slope * dx
-    return slope, math.sqrt(float(resid @ resid) / (x.size - 2) / sxx)
-
-
-def _peaks(w: np.ndarray) -> np.ndarray:
-    """Indices of the interior local maxima of w (plateaus count once)."""
-    interior = (w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:])
-    return np.flatnonzero(interior) + 1
-
-
-def fit_damping_rate(times: np.ndarray, field_energy: np.ndarray,
-                     window: tuple[float, float] | None = None):
-    """Damping rate and frequency from the field-energy peak envelope.
-
-    The field energy of a damped wave ~ exp(-2 gamma t) cos^2, so the
-    log-peak slope is -2 gamma and consecutive peaks are pi / omega apart.
-    The fit needs at least 5 positive peaks in the window.
-    Returns (gamma, omega, gamma_stderr, omega_stderr).
-    """
-    t = np.asarray(times, dtype=float)
-    w = np.asarray(field_energy, dtype=float)
-    if window is not None:
-        mask = (t >= window[0]) & (t <= window[1])
-        t, w = t[mask], w[mask]
-    if t.size < 3:
-        raise ValueError("window contains too few samples")
-    peak_idx = _peaks(w)
-    peak_idx = peak_idx[w[peak_idx] > 0]
-    if peak_idx.size < 5:
-        raise ValueError(
-            f"only {peak_idx.size} field-energy peaks in window, "
-            "need at least 5")
-    tp = t[peak_idx]
-    slope, slope_err = _line_fit(tp, np.log(w[peak_idx]))
-    gamma = -0.5 * slope
-    gamma_err = 0.5 * slope_err
-    spacing = np.diff(tp)
-    omega = np.pi / float(np.mean(spacing))
-    omega_err = omega * float(np.std(spacing) / np.mean(spacing)) / max(
-        1.0, np.sqrt(spacing.size))
-    return gamma, omega, gamma_err, omega_err
-
-
-def damping_halt_time(times: np.ndarray, field_energy: np.ndarray):
-    """Time at which the initial decay of the field-energy peak envelope
-    stops: the peak time achieving the envelope minimum before the envelope
-    first recovers.  Returns (t_halt, peak_times, peak_values)."""
-    t = np.asarray(times, dtype=float)
-    w = np.asarray(field_energy, dtype=float)
-    peak_idx = _peaks(w)
-    if peak_idx.size < 2:
-        raise ValueError("too few field-energy peaks to locate a halt")
-    tp, wp = t[peak_idx], w[peak_idx]
-    i_min = int(np.argmin(wp))
-    return float(tp[i_min]), tp, wp
-
-
-@dataclass(frozen=True)
-class VortexReport:
-    present: bool
-    width: float          # velocity half-extent, v_F units
-    v_extent: float       # full velocity extent of the deviation region
-    x_fraction: float     # x coverage of that region / box length
-
-
-def detect_vortex(f: np.ndarray, grid: PhaseSpaceGrid,
-                  phase_velocity: float) -> VortexReport:
-    """Deterministic proxy for a trapped phase-space vortex.
-
-    Within |v - v_phi| <= 1 (one Fermi velocity) the deviation of f from
-    its x-average is thresholded at 0.2 of the perturbation scale of the
-    window (its maximum absolute deviation).  A vortex is a *closed*
-    connected deviation region: it must span at least 3 velocity cells and
-    between 0.25 and 0.9 of the box length in x (one wavelength of the
-    seeded mode in a single-period box).  Regions wrapping (nearly) the
-    whole period are traveling-wave crests, not trapped structures, and
-    are rejected; that closure test is what separates a trapped vortex
-    from the open oscillation bands of the quantum runs at the same
-    amplitude.
-
-    The mask keeps depletion only (f below its x-average): a trapped
-    vortex is a phase-space hole, while both signs together also pick up
-    the crests of ordinary waves.  Only the component containing the
-    deepest depletion cell is examined; satellite patches of an
-    oscillation pattern never qualify that way.  The reported width is
-    half the velocity extent of the hole (the trapping width
-    sqrt(alpha)/K of the classical estimate is a half-extent).  The
-    detector is invariant under adding a constant to f and under periodic
-    x-translation.
-    """
-    # Imported here: nothing else in a run needs scipy.ndimage's labelling.
-    from scipy.ndimage import label
-
-    v = grid.v
-    rows = np.flatnonzero(np.abs(v - phase_velocity) <= 1.0)
-    if rows.size == 0:
-        return VortexReport(False, 0.0, 0.0, 0.0)
-    window = f[rows, :]
-    dev = window - window.mean(axis=1, keepdims=True)
-    scale = float(np.max(np.abs(dev)))
-    if scale == 0.0:
-        return VortexReport(False, 0.0, 0.0, 0.0)
-    mask = dev < -0.2 * scale
-
-    # Connected components with periodic wrap in x: label a doubled array
-    # so wrapping regions are joined.
-    doubled = np.concatenate([mask, mask], axis=1)
-    labels, _ = label(doubled)
-    n_x = mask.shape[1]
-    cells_per_box = grid.spatial.length / grid.spatial.dx
-
-    j_min, i_min = np.unravel_index(int(np.argmin(dev)), dev.shape)
-    # read the label from the second copy, whose left edge is joined to the
-    # first copy so components wrapping the periodic seam stay connected
-    lab = labels[j_min, i_min + n_x]
-    if lab == 0:
-        return VortexReport(False, 0.0, 0.0, 0.0)
-    where = np.nonzero(labels == lab)
-    v_cells = int(where[0].max() - where[0].min() + 1)
-    x_cols = np.unique(where[1] % n_x)
-    x_fraction = float(x_cols.size / cells_per_box)
-    v_extent = v_cells * grid.dv
-    present = v_cells >= 3 and 0.25 <= x_fraction <= 0.9
-    if not present:
-        return VortexReport(False, 0.0, v_extent, x_fraction)
-    return VortexReport(True, 0.5 * v_extent, v_extent, x_fraction)

@@ -171,13 +171,6 @@ def eps_fluid(k: float, omega: complex, gamma: float = 3.0,
     return 1.0 - 1.0 / (omega**2 - gamma * k**2 * v0_sq - (H * k**2 / 4.0) ** 2)
 
 
-def fluid_omega_sq(k: float, gamma: float = 3.0, v0_sq: float = 1.0 / 3.0,
-                   H: float = 0.0) -> float:
-    """Closed-form root of the fluid dielectric:
-    omega^2 = 1 + gamma K^2 v0^2 + H^2 K^4 / 16."""
-    return 1.0 + gamma * k**2 * v0_sq + (H * k**2 / 4.0) ** 2
-
-
 def solve_root(model: DielectricModel, k: float,
                guess: Optional[complex] = None) -> DispersionRoot:
     """Newton iteration on epsilon(K, omega) = 0 with a numerically

@@ -18,7 +18,10 @@ import numpy as np
 
 from .fields import PhaseSpaceGrid, SpatialGrid
 
+# The flat top 1/2 on |v| <= 1: the 1D zero-temperature Fermi-Dirac profile.
 WATERBAG = "waterbag1d"
+# The 3D zero-temperature Fermi sphere projected on one velocity axis:
+# (3/4)(1 - v^2) on |v| <= 1.
 PROJECTED_FD_T0 = "fd3d_projected_T0"
 PROJECTED_FD = "fd3d_projected"
 
@@ -140,18 +143,6 @@ class Equilibrium1D:
             return 1.0
         t = self.t_over_tf
         return math.sqrt(max(self.mu, 0.0) + 700.0 * t)
-
-
-def waterbag_1d() -> Equilibrium1D:
-    """Flat-top distribution n0 / (2 v_F) on |v| <= v_F: the 1D
-    zero-temperature Fermi-Dirac profile."""
-    return Equilibrium1D(kind=WATERBAG)
-
-
-def projected_fd_zero_t() -> Equilibrium1D:
-    """3D zero-temperature Fermi sphere projected on one velocity axis:
-    (3/4)(n0/v_F)(1 - v^2/v_F^2) on |v| <= v_F."""
-    return Equilibrium1D(kind=PROJECTED_FD_T0)
 
 
 # Panel rule of the chemical-potential solve: the 20-point Gauss-Legendre

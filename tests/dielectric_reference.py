@@ -8,7 +8,8 @@ difference form takes its Landau integrals by the library's former rule,
 `pole_integral_pv`.  `f0_numpy` and `df0_numpy` are the profiles as the
 library evaluated them before it took numbers through `math`/`cmath`, with
 numpy on 0-d values; `NumpyEquilibrium` hands them to the library's
-dielectric functions.  Normalized units as in `qplasma.dispersion`.
+dielectric functions.  `fluid_omega_sq` is the closed-form root of the
+fluid dielectric.  Normalized units as in `qplasma.dispersion`.
 """
 
 import cmath
@@ -197,6 +198,12 @@ def eps_wigner_t0(k, omega, H):
     a = H * k**2 / 4.0
     return 1.0 - (pole_integral_t0(omega - a, k)
                   - pole_integral_t0(omega + a, k)) / (2.0 * a)
+
+
+def fluid_omega_sq(k, gamma=3.0, v0_sq=1.0 / 3.0, H=0.0):
+    """Closed-form root of the fluid dielectric `eps_fluid`:
+    omega^2 = 1 + gamma K^2 v0^2 + H^2 K^4 / 16."""
+    return 1.0 + gamma * k**2 * v0_sq + (H * k**2 / 4.0) ** 2
 
 
 def use_numpy_profiles(monkeypatch):

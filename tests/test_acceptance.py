@@ -12,20 +12,21 @@ from scipy.optimize import newton
 
 from qplasma import hartree, simulate, wigner
 from qplasma.config import ScenarioConfig
-from qplasma.diagio import (damping_halt_time, detect_vortex,
-                            fit_damping_rate, read_snapshot, write_snapshot)
+from qplasma.diagio import read_snapshot, write_snapshot
 from qplasma.dispersion import (MULTISTREAM, VLASOV_KINETIC, WIGNER_KINETIC,
-                                DielectricModel, fluid_omega_sq, k_scan,
-                                smallk_coefficients, solve_root)
-from qplasma.equilibria import (Perturbation, fd_stream_occupations,
-                                make_equilibrium, plane_wave_mixture,
-                                waterbag_1d, wigner_of_mixture)
+                                DielectricModel, k_scan, smallk_coefficients,
+                                solve_root)
+from qplasma.equilibria import (WATERBAG, Perturbation,
+                                fd_stream_occupations, make_equilibrium,
+                                plane_wave_mixture, wigner_of_mixture)
 from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, moments,
                             poisson_periodic, spectral_derivative)
 from qplasma.params import (PhysicalConditions, compute_dimensionless,
                             compute_scales, pauli_collision_time)
 
-from dielectric_reference import eps_delta_comb
+from dielectric_reference import eps_delta_comb, fluid_omega_sq
+from run_analysis import (damping_halt_time, detect_vortex, fit_damping_rate,
+                          peak_indices)
 
 GOLD = PhysicalConditions(number_density=5.9e28, temperature=300.0)
 
@@ -34,14 +35,6 @@ def report(num, label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {num:2d} {label}: {status} {detail}".rstrip())
     assert ok, f"criterion {num} {label}: {detail}"
-
-
-def field_energy_peaks(times, energy):
-    t = np.asarray(times)
-    w = np.asarray(energy)
-    interior = (w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:])
-    idx = np.flatnonzero(interior) + 1
-    return t[idx], w[idx]
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +82,8 @@ def test_criterion_1_gold_parameter_report():
 
 
 def test_criterion_2_flat_top_dispersion_is_exact():
-    model = DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d())
+    model = DielectricModel(VLASOV_KINETIC,
+                            equilibrium=make_equilibrium(WATERBAG))
     ks = np.linspace(0.1, 2.0, 25)
     roots = k_scan(model, ks)
     devs = [abs(r.omega.real**2 - (1.0 + r.k**2)) + abs(r.omega.imag)
@@ -100,7 +94,8 @@ def test_criterion_2_flat_top_dispersion_is_exact():
 
 
 def test_criterion_3_quantum_flat_top_small_k_expansion():
-    model = DielectricModel(WIGNER_KINETIC, equilibrium=waterbag_1d(), H=1.0)
+    model = DielectricModel(WIGNER_KINETIC,
+                            equilibrium=make_equilibrium(WATERBAG), H=1.0)
     _, c2, c4, _ = smallk_coefficients(model)
     ks = np.geomspace(0.05, 0.2, 8)
     resid = []
@@ -187,8 +182,9 @@ def test_criterion_7_quantum_suppression_benchmark(classical_run,
     t_late = 10.0 / np.sqrt(qcfg.alpha)
 
     def late_level(series):
-        tp, wp = field_energy_peaks(series.times, series.field_energy)
-        return float(np.mean(wp[tp > t_late]))
+        idx = peak_indices(series.field_energy)
+        late = series.times[idx] > t_late
+        return float(np.mean(series.field_energy[idx][late]))
 
     classical_level = late_level(cres.series)
     quantum_level = late_level(qres.series)

@@ -2,6 +2,7 @@
 validation with collected errors, canonical round-trips, deterministic
 run outputs and the comparison guard."""
 
+import ast
 import os
 import re
 import subprocess
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from qplasma import cli
 from qplasma.config import (COMMON_KEYS, EQUILIBRIA, ConfigError,
                             ScenarioConfig, parse_config, read_keys)
-from qplasma.dispersion import fluid_omega_sq
 from qplasma.simulate import MODELS
+
+from dielectric_reference import fluid_omega_sq
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -917,10 +919,11 @@ class TestImportFootprint:
 
     def test_diagio_import_loads_no_solver(self):
         # What each model writes is its row of simulate.MODELS, so the
-        # container module depends on no solver.
+        # container module depends on no solver, no grid and no scipy: it
+        # holds the file formats, and the run analysis lives in the tests.
         assert self.loaded_after_import("qplasma.diagio", [
             "qplasma.vlasov", "qplasma.wigner", "qplasma.hartree",
-            "qplasma.qfluid"]) == "[]"
+            "qplasma.qfluid", "qplasma.fields", "scipy"]) == "[]"
 
     def test_simulate_import_loads_no_quadrature_or_root_finder(self):
         # The library path of `qplasma run` solves the chemical potential
@@ -931,6 +934,33 @@ class TestImportFootprint:
 
     @pytest.mark.parametrize("module", ["qplasma.config", "qplasma.simulate"])
     def test_import_loads_no_ndimage(self, module):
-        # scipy.ndimage serves only the Vlasov spline prefilter and the
-        # vortex detector, each of which imports it when first called.
+        # scipy.ndimage serves only the Vlasov spline prefilter, which
+        # imports it when first called.
         assert self.loaded_after_import(module, ["scipy.ndimage"]) == "[]"
+
+
+class TestPublicApi:
+    def test_every_public_name_has_a_caller_outside_the_tests(self):
+        # A module-level function or class of the library that only tests
+        # call belongs in the tests.  Each public one is named, as a whole
+        # word, on some line of src/qplasma, perfbench or pyproject.toml
+        # other than its own def or class line.
+        root = README.parent
+        src = sorted((root / "src" / "qplasma").glob("*.py"))
+        readers = src + sorted((root / "perfbench").glob("*.py")) + [
+            root / "pyproject.toml"]
+        lines = [(path, number, line) for path in readers
+                 for number, line in enumerate(
+                     path.read_text().splitlines(), 1)]
+
+        def has_caller(path, node):
+            word = re.compile(rf"\b{node.name}\b")
+            return any(word.search(line) for other, number, line in lines
+                       if (other, number) != (path, node.lineno))
+
+        uncalled = [f"{path.name}:{node.name}" for path in src
+                    for node in ast.parse(path.read_text()).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not has_caller(path, node)]
+        assert uncalled == []

@@ -1,6 +1,6 @@
-"""Diagnostics and file formats: damping-rate fits on synthetic signals,
-series and snapshot round-trips, corruption detection and the phase-space
-vortex detector."""
+"""File formats and the run analysis of `run_analysis.py`: series and
+snapshot round-trips, corruption detection, damping-rate fits on synthetic
+signals and the phase-space vortex detector."""
 
 import json
 import os
@@ -14,13 +14,14 @@ from scipy.stats import linregress
 
 from qplasma import simulate
 from qplasma.diagio import (SNAPSHOT_MAGIC, DiagnosticSeries, SeriesRecorder,
-                            _line_fit, damping_halt_time, detect_vortex,
-                            fit_damping_rate, format_table, read_series_csv,
-                            read_snapshot, write_series_csv, write_snapshot)
+                            format_table, read_series_csv, read_snapshot,
+                            write_series_csv, write_snapshot)
 from qplasma.equilibria import StreamSet
 from qplasma.fields import PhaseSpaceGrid, SpatialGrid
 from qplasma.vlasov import VlasovState
 from qplasma.wigner import WignerState
+
+from run_analysis import damping_halt_time, detect_vortex, fit_damping_rate
 
 RNG = np.random.default_rng(7)
 
@@ -55,16 +56,6 @@ class TestDampingFit:
         w = np.exp(-0.1 * t) * np.cos(1.3 * t) ** 2
         with pytest.raises(ValueError, match="peaks"):
             fit_damping_rate(t, w, window=(0.0, 3.0))
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 17, 200])
-    def test_line_fit_matches_linregress(self, n):
-        rng = np.random.default_rng(n)
-        x = np.sort(rng.uniform(0.0, 50.0, n))
-        y = -0.3 * x + rng.standard_normal(n)
-        slope, stderr = _line_fit(x, y)
-        want = linregress(x, y)
-        assert slope == pytest.approx(want.slope, rel=1e-10)
-        assert stderr == pytest.approx(want.stderr, rel=1e-10, abs=0.0)
 
     def test_rate_error_matches_linregress_on_the_peaks(self):
         # A noisy envelope, so the rate has a nonzero standard error.
@@ -261,7 +252,8 @@ class TestSnapshots:
             assert str(err.value) == (f"snapshot payload is {size} bytes, but "
                                       "1 channels of shape [8, 16] take 1024")
 
-    # A pipe has no size to stat: the payload length is what can be read.
+    # A pipe has no size to stat: its payload is read in bounded pieces,
+    # and its length is what arrives.
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_snapshot_is_read_from_a_pipe(self, tmp_path):
         grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 16), 3.0, 8)
@@ -282,10 +274,20 @@ class TestSnapshots:
         header, channels = read_piped(raw)
         assert header["time"] == 0.5 and header["config_hash"] == "abc"
         assert np.array_equal(channels["f"], f)
+        for data, size in ((raw[:-8], 1016), (raw + bytes(8), 1032)):
+            with pytest.raises(ValueError) as err:
+                read_piped(data)
+            assert str(err.value) == (f"snapshot payload is {size} bytes, "
+                                      "but 1 channels of shape [8, 16] take "
+                                      "1024")
+        # A header naming more payload than arrives raised MemoryError
+        # while the payload array was allocated.
+        huge = json.dumps(dict(self.GOOD_HEADER, shape=[10**6, 10**6]))
         with pytest.raises(ValueError) as err:
-            read_piped(raw[:-8])
-        assert str(err.value) == ("snapshot payload is 1016 bytes, but "
-                                  "1 channels of shape [8, 16] take 1024")
+            read_piped(self.container(huge.encode()))
+        assert str(err.value) == ("snapshot payload is 48 bytes, but 1 "
+                                  "channels of shape [1000000, 1000000] take "
+                                  "8000000000000")
 
     # A 256x256 Wigner state: two channels, f_plus and f_minus, each of
     # f.nbytes.  Gathering the payload into one bytes object peaked at 6

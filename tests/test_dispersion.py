@@ -9,15 +9,16 @@ import pytest
 from qplasma.dispersion import (MULTISTREAM, QUANTUM_FLUID, VLASOV_KINETIC,
                                 WIGNER_KINETIC, DielectricModel,
                                 eps_fluid, eps_multistream, eps_vlasov,
-                                eps_wigner, fluid_omega_sq, k_scan,
-                                smallk_coefficients, solve_root)
-from qplasma.equilibria import (StreamSpec, projected_fd_finite_t,
-                                projected_fd_zero_t, waterbag_1d)
+                                eps_wigner, k_scan, smallk_coefficients,
+                                solve_root)
+from qplasma.equilibria import (PROJECTED_FD_T0, WATERBAG, StreamSpec,
+                                make_equilibrium, projected_fd_finite_t)
 
 from dielectric_reference import (NumpyEquilibrium, eps_delta_comb,
                                   eps_vlasov_t0, eps_wigner_shifted,
                                   eps_wigner_t0, eps_wigner_waterbag,
-                                  pole_integral_pv, pole_integral_t0)
+                                  fluid_omega_sq, pole_integral_pv,
+                                  pole_integral_t0)
 
 def random_points(n, seed=42, re_lo=0.3, re_hi=3.0, im_lo=0.05, im_hi=0.5):
     """Complex frequencies in the upper half plane plus wavenumbers;
@@ -31,23 +32,23 @@ def random_points(n, seed=42, re_lo=0.3, re_hi=3.0, im_lo=0.05, im_hi=0.5):
 
 class TestClassicalKinetic:
     def test_flat_top_closed_form_value(self):
-        eq = waterbag_1d()
+        eq = make_equilibrium(WATERBAG)
         val = eps_vlasov(0.5, 2.0 + 0j, eq)
         assert val == pytest.approx(1.0 - 1.0 / (4.0 - 0.25), abs=1e-14)
 
     def test_vacuum_limit(self):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         assert eps_vlasov(0.5, 1e4 + 0j, eq) == pytest.approx(1.0, abs=1e-6)
 
     def test_real_dielectric_beyond_the_support(self):
         # With no particles faster than the support edge, waves with larger
         # phase velocity see a purely real dielectric.
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         val = eps_vlasov(1.0, 1.8 + 0j, eq)
         assert abs(val.imag) < 1e-10
 
     def test_damping_inside_the_support(self):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         val = eps_vlasov(1.0, 0.7 + 0j, eq)
         assert val.imag != pytest.approx(0.0, abs=1e-6)
 
@@ -62,12 +63,12 @@ class TestClassicalKinetic:
 
 class TestQuantumKinetic:
     def test_zero_h_reduces_to_classical(self):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         for k, w in zip(*random_points(5)):
             assert abs(eps_wigner(k, w, eq, 0.0) - eps_vlasov(k, w, eq)) < 1e-10
 
     def test_flat_top_closed_form_vs_quadrature(self):
-        eq = waterbag_1d()
+        eq = make_equilibrium(WATERBAG)
         for k, w in zip(*random_points(5)):
             closed = eps_wigner_waterbag(k, w, 1.0)
             quad = eps_wigner(k, w, eq, 1.0)
@@ -77,21 +78,22 @@ class TestQuantumKinetic:
         # Inside the recoil-shifted resonance band (the closed form's log
         # arguments are negative reals there) a float omega and the same
         # omega as a complex must give one value, with no warning.
+        eq = make_equilibrium(WATERBAG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val = eps_wigner(1.8, 1.9, waterbag_1d(), 0.7)
-        assert val == eps_wigner(1.8, 1.9 + 0j, waterbag_1d(), 0.7)
+            val = eps_wigner(1.8, 1.9, eq, 0.7)
+        assert val == eps_wigner(1.8, 1.9 + 0j, eq, 0.7)
         assert val == pytest.approx(0.98835 + 0.76955j, abs=1e-5)
 
     def test_pole_and_shifted_forms_agree(self):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         for k, w in zip(*random_points(5)):
             a = eps_wigner(k, w, eq, 0.7)
             b = eps_wigner_shifted(k, w, eq, 0.7)
             assert abs(a - b) < 1e-10
 
     def test_h_to_zero_continuity_is_quadratic(self):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         k, w = 0.8, 1.6 + 0.2j
         hs = np.array([0.4, 0.2, 0.1, 0.05])
         devs = np.array([abs(eps_wigner(k, w, eq, h) - eps_vlasov(k, w, eq))
@@ -106,7 +108,7 @@ class TestQuantumKinetic:
         # between b = 0.435 and 0.44 with its real part inside the support.
         # The residue must not drop out there; it did while the support
         # test read |v|, and eps jumped by about 9.
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         inner, outer = (eps_wigner(1.0, re_omega - 1j * b, eq, H)
                         for b in (0.435, 0.44))
         assert abs(outer - inner) < 0.2
@@ -134,20 +136,20 @@ class TestClosedFormReferences:
     within 1e-11 absolute."""
 
     def test_waterbag_wigner_matches_the_continued_closed_form(self):
-        eq = waterbag_1d()
+        eq = make_equilibrium(WATERBAG)
         err = max(abs(eps_wigner(k, w, eq, 0.7)
                       - eps_wigner_waterbag(k, w, 0.7))
                   for k, w in closed_form_points())
         assert err < 1e-11
 
     def test_projected_zero_t_vlasov_matches_the_closed_form(self):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         err = max(abs(eps_vlasov(k, w, eq) - eps_vlasov_t0(k, w))
                   for k, w in closed_form_points())
         assert err < 1e-11
 
     def test_projected_zero_t_wigner_matches_the_closed_form(self):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         err = max(abs(eps_wigner(k, w, eq, 0.7) - eps_wigner_t0(k, w, 0.7))
                   for k, w in closed_form_points())
         assert err < 1e-11
@@ -189,13 +191,17 @@ class TestClosedFormReferences:
         a = H * k**2 / 4.0
         far = pole_integral_t0(side * (k + 2.0 * a), k)
         want = 1.0 - (1.5 / k - side * far) / (2.0 * a)
-        got = eps_wigner(k, side * (k + a), projected_fd_zero_t(), H)
+        got = eps_wigner(k, side * (k + a),
+                         make_equilibrium(PROJECTED_FD_T0), H)
         assert abs(got - want) < 1e-11
 
     @pytest.mark.parametrize("evaluate, edge", [
-        (lambda: eps_vlasov(0.5, 0.5, projected_fd_zero_t()), "1.0"),
-        (lambda: eps_wigner(1.0, 1.25, waterbag_1d(), 1.0), "1.0"),
-        (lambda: eps_wigner(1.0, -0.75, waterbag_1d(), 1.0), "-1.0")],
+        (lambda: eps_vlasov(0.5, 0.5, make_equilibrium(PROJECTED_FD_T0)),
+         "1.0"),
+        (lambda: eps_wigner(1.0, 1.25, make_equilibrium(WATERBAG), 1.0),
+         "1.0"),
+        (lambda: eps_wigner(1.0, -0.75, make_equilibrium(WATERBAG), 1.0),
+         "-1.0")],
         ids=["vlasov-t0-upper", "wigner-waterbag-upper",
              "wigner-waterbag-lower"])
     def test_pole_on_a_support_edge_where_g_is_not_zero_is_named(
@@ -240,8 +246,8 @@ class TestFiniteTemperaturePinnedValues:
         assert abs(eps_wigner(k, k * u, eq, H) - want) < 1e-11
 
 
-NUMBER_PATH_PROFILES = {"waterbag1d": waterbag_1d(),
-                        "fd3d_projected_T0": projected_fd_zero_t(),
+NUMBER_PATH_PROFILES = {"waterbag1d": make_equilibrium(WATERBAG),
+                        "fd3d_projected_T0": make_equilibrium(PROJECTED_FD_T0),
                         "fd3d_projected-1e-4": projected_fd_finite_t(1e-4),
                         "fd3d_projected-0.01": projected_fd_finite_t(0.01),
                         "fd3d_projected-1": projected_fd_finite_t(1.0)}
@@ -351,7 +357,7 @@ class TestFluid:
 
 class TestRootSolver:
     def test_flat_top_branch_is_exact(self):
-        eq = waterbag_1d()
+        eq = make_equilibrium(WATERBAG)
         model = DielectricModel(VLASOV_KINETIC, equilibrium=eq)
         root = solve_root(model, 0.5)
         assert abs(root.omega - np.sqrt(1.25)) < 1e-10
@@ -359,7 +365,7 @@ class TestRootSolver:
         assert root.residual < 1e-10
 
     def test_flat_top_scan(self):
-        eq = waterbag_1d()
+        eq = make_equilibrium(WATERBAG)
         model = DielectricModel(VLASOV_KINETIC, equilibrium=eq)
         ks = np.linspace(0.1, 2.0, 20)
         for root in k_scan(model, ks):
@@ -393,7 +399,8 @@ class TestRootSolver:
         assert abs(model.eps(1.5, root.omega)) < 1e-10
 
     def test_bad_guess_rejected(self):
-        model = DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d())
+        model = DielectricModel(VLASOV_KINETIC,
+                                equilibrium=make_equilibrium(WATERBAG))
         with pytest.raises(ValueError):
             solve_root(model, 0.5, guess=-1.0 + 0j)
 
@@ -402,7 +409,7 @@ class TestRootSolver:
         # bracketed on the real axis above the resonance band still
         # polishes to the Newton tolerance.
         from scipy.optimize import brentq
-        eq = waterbag_1d()
+        eq = make_equilibrium(WATERBAG)
         h_param, k = 2.5, 1.0
         shift = h_param * k**2 / 4.0
         guess = brentq(lambda w: eps_wigner(k, complex(w), eq, h_param).real,
@@ -421,12 +428,14 @@ class TestRootSolver:
         with pytest.raises(ValueError):
             DielectricModel(QUANTUM_FLUID, H=-1.0)
         with pytest.raises(ValueError, match="H must be 0"):
-            DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d(), H=1.0)
+            DielectricModel(VLASOV_KINETIC,
+                            equilibrium=make_equilibrium(WATERBAG), H=1.0)
 
 
 class TestSmallKExpansion:
     def test_flat_top_classical_coefficients(self):
-        model = DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d())
+        model = DielectricModel(VLASOV_KINETIC,
+                                equilibrium=make_equilibrium(WATERBAG))
         c0, c2, c4, resid = smallk_coefficients(model)
         assert c0 == pytest.approx(1.0, abs=1e-4)
         assert c2 == pytest.approx(1.0, abs=1e-4)
@@ -434,12 +443,13 @@ class TestSmallKExpansion:
 
     def test_projected_zero_t_quadratic_coefficient(self):
         model = DielectricModel(VLASOV_KINETIC,
-                                equilibrium=projected_fd_zero_t())
+                                equilibrium=make_equilibrium(PROJECTED_FD_T0))
         _, c2, _, _ = smallk_coefficients(model)
         assert c2 == pytest.approx(0.6, rel=0.02)
 
     def test_flat_top_quantum_quartic_coefficient(self):
-        model = DielectricModel(WIGNER_KINETIC, equilibrium=waterbag_1d(),
+        model = DielectricModel(WIGNER_KINETIC,
+                                equilibrium=make_equilibrium(WATERBAG),
                                 H=1.0)
         c0, c2, c4, _ = smallk_coefficients(model)
         assert c2 == pytest.approx(1.0, rel=0.01)
@@ -448,7 +458,8 @@ class TestSmallKExpansion:
     def test_quantum_fluid_residual_scales_as_sixth_power(self):
         # The quantum kinetic and fluid branches of the flat-top profile
         # differ at next order; the residual exponent in K is 6.
-        model = DielectricModel(WIGNER_KINETIC, equilibrium=waterbag_1d(),
+        model = DielectricModel(WIGNER_KINETIC,
+                                equilibrium=make_equilibrium(WATERBAG),
                                 H=1.0)
         ks = np.geomspace(0.05, 0.2, 8)
         resid = []
@@ -461,9 +472,12 @@ class TestSmallKExpansion:
         assert slope == pytest.approx(6.0, abs=0.3)
 
     @pytest.mark.parametrize("model", [
-        DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d()),
-        DielectricModel(VLASOV_KINETIC, equilibrium=projected_fd_zero_t()),
-        DielectricModel(WIGNER_KINETIC, equilibrium=waterbag_1d(), H=1.0)],
+        DielectricModel(VLASOV_KINETIC,
+                        equilibrium=make_equilibrium(WATERBAG)),
+        DielectricModel(VLASOV_KINETIC,
+                        equilibrium=make_equilibrium(PROJECTED_FD_T0)),
+        DielectricModel(WIGNER_KINETIC,
+                        equilibrium=make_equilibrium(WATERBAG), H=1.0)],
         ids=["vlasov-waterbag", "vlasov-t0", "wigner-waterbag"])
     def test_fit_matches_lstsq_on_the_same_roots(self, model):
         ks = np.geomspace(0.02, 0.2, 25)
@@ -481,6 +495,7 @@ class TestSmallKExpansion:
 
         for name in ("lstsq", "solve", "qr", "svd", "pinv"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        model = DielectricModel(VLASOV_KINETIC, equilibrium=waterbag_1d())
+        model = DielectricModel(VLASOV_KINETIC,
+                                equilibrium=make_equilibrium(WATERBAG))
         c0, c2, c4, _ = smallk_coefficients(model)
         assert (c0, c2, c4) == pytest.approx((1.0, 1.0, 0.0), abs=1e-4)

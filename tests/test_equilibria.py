@@ -12,12 +12,11 @@ from scipy.optimize import brentq
 from qplasma import equilibria, vlasov
 from qplasma.config import EQUILIBRIA
 from qplasma.constants import ELECTRON_MASS, HBAR
-from qplasma.equilibria import (Equilibrium1D, Perturbation, StreamSpec,
-                                _softplus, fd_stream_occupations,
-                                hbar_eff, make_equilibrium,
-                                plane_wave_mixture, projected_fd_finite_t,
-                                projected_fd_zero_t, waterbag_1d,
-                                wigner_of_mixture)
+from qplasma.equilibria import (PROJECTED_FD_T0, WATERBAG, Equilibrium1D,
+                                Perturbation, StreamSpec, _softplus,
+                                fd_stream_occupations, hbar_eff,
+                                make_equilibrium, plane_wave_mixture,
+                                projected_fd_finite_t, wigner_of_mixture)
 from qplasma.fields import PhaseSpaceGrid, SpatialGrid
 
 from dielectric_reference import df0_numpy, f0_numpy, use_numpy_profiles
@@ -82,46 +81,47 @@ CLOSED_FORM_MU = {
 
 class TestFlatTop:
     def test_plateau_height(self):
-        eq = waterbag_1d()
+        eq = make_equilibrium(WATERBAG)
         assert eq.f0(0.0) == pytest.approx(0.5)
         assert eq.f0(0.99) == pytest.approx(0.5)
         assert eq.f0(1.01) == 0.0
 
     def test_density(self):
-        assert density_moment(waterbag_1d()) == pytest.approx(1.0, rel=1e-10)
+        eq = make_equilibrium(WATERBAG)
+        assert density_moment(eq) == pytest.approx(1.0, rel=1e-10)
 
     def test_second_moment_is_third(self):
-        assert second_moment(waterbag_1d()) == pytest.approx(1.0 / 3.0,
-                                                             rel=1e-10)
+        eq = make_equilibrium(WATERBAG)
+        assert second_moment(eq) == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_invalid_parameters(self):
         # Units are fixed: density and Fermi velocity are 1.  A profile of
         # another density would only fail later, in the neutrality check
         # of the Poisson solve.
         with pytest.raises(TypeError):
-            waterbag_1d(n0=2.0)
+            make_equilibrium(WATERBAG, n0=2.0)
         with pytest.raises(TypeError):
-            waterbag_1d(v_f=0.5)
+            make_equilibrium(WATERBAG, v_f=0.5)
 
 
 class TestProjectedZeroT:
     def test_parabolic_profile(self):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         assert eq.f0(0.0) == pytest.approx(0.75)
         assert eq.f0(1.0) == pytest.approx(0.0)
         assert eq.f0(1.5) == 0.0
         assert eq.f0(0.5) == pytest.approx(0.75 * (1 - 0.25))
 
     def test_density(self):
-        assert density_moment(projected_fd_zero_t()) == pytest.approx(
-            1.0, rel=1e-10)
+        eq = make_equilibrium(PROJECTED_FD_T0)
+        assert density_moment(eq) == pytest.approx(1.0, rel=1e-10)
 
     def test_second_moment_is_fifth(self):
-        assert second_moment(projected_fd_zero_t()) == pytest.approx(
-            1.0 / 5.0, rel=1e-10)
+        eq = make_equilibrium(PROJECTED_FD_T0)
+        assert second_moment(eq) == pytest.approx(1.0 / 5.0, rel=1e-10)
 
     def test_even_and_nonnegative(self):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         v = np.linspace(-2, 2, 101)
         f = eq.f0(v).real
         assert np.allclose(f, f[::-1])
@@ -140,7 +140,7 @@ class TestProjectedFiniteT:
             assert density_moment(eq) == pytest.approx(1.0, rel=1e-9)
 
     def test_cold_limit_recovers_parabolic_profile(self):
-        cold = projected_fd_zero_t()
+        cold = make_equilibrium(PROJECTED_FD_T0)
         v = np.linspace(-1.5, 1.5, 301)
         dev_2 = np.max(np.abs(projected_fd_finite_t(t_over_tf=1e-2).f0(v).real
                               - cold.f0(v).real))
@@ -197,8 +197,8 @@ class TestChemicalPotential:
             projected_fd_finite_t(1.0)
 
 
-PROFILES = {"waterbag1d": waterbag_1d(),
-            "fd3d_projected_T0": projected_fd_zero_t(),
+PROFILES = {"waterbag1d": make_equilibrium(WATERBAG),
+            "fd3d_projected_T0": make_equilibrium(PROJECTED_FD_T0),
             "fd3d_projected-1e-4": projected_fd_finite_t(1e-4),
             "fd3d_projected-0.01": projected_fd_finite_t(0.01),
             "fd3d_projected-1": projected_fd_finite_t(1.0)}
@@ -574,7 +574,7 @@ class TestMixtureTransform:
 class TestPerturbation:
     def setup_method(self):
         self.grid = PhaseSpaceGrid(SpatialGrid(2.0 * np.pi, 64), 3.0, 64)
-        self.eq = projected_fd_zero_t()
+        self.eq = make_equilibrium(PROJECTED_FD_T0)
 
     def initial_f(self, alpha, k=1.0):
         return vlasov.initial_state(self.grid, self.eq,

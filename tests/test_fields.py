@@ -4,7 +4,7 @@ velocity moments."""
 import numpy as np
 import pytest
 
-from qplasma.equilibria import projected_fd_zero_t, waterbag_1d
+from qplasma.equilibria import PROJECTED_FD_T0, WATERBAG, make_equilibrium
 from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, field_energy,
                             moments, poisson_periodic, spectral_derivative)
 
@@ -138,7 +138,7 @@ class TestPoisson:
 
 class TestMoments:
     def test_equilibrium_density_and_flux(self, pgrid):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         prof = eq.f0(pgrid.v).real
         prof *= 1.0 / (np.sum(prof) * pgrid.dv)
         f = np.broadcast_to(prof[:, None], (pgrid.n_v, pgrid.spatial.n_x))
@@ -153,7 +153,7 @@ class TestMoments:
         # and the same pressure second - flux^2 / n.
         grid = SpatialGrid(2.0 * np.pi, 8)
         pgrid = PhaseSpaceGrid(grid, v_max=3.0, n_v=4096)
-        eq = waterbag_1d()
+        eq = make_equilibrium(WATERBAG)
         prof = eq.f0(pgrid.v).real
         prof *= 1.0 / (np.sum(prof) * pgrid.dv)
         for cells in (0, 700):
@@ -168,7 +168,7 @@ class TestMoments:
 
     def test_shifted_distribution_flux(self, pgrid):
         # Moving the profile by one grid cell shifts the flux by n * dv.
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         prof = eq.f0(pgrid.v).real
         prof *= 1.0 / (np.sum(prof) * pgrid.dv)
         f = np.broadcast_to(np.roll(prof, 1)[:, None],
@@ -186,7 +186,7 @@ class TestMoments:
         assert np.allclose(u12, u1 + 2.0 * u2, atol=1e-12)
 
     def test_cosine_modulation_passes_through(self, pgrid):
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         prof = eq.f0(pgrid.v).real
         prof *= 1.0 / (np.sum(prof) * pgrid.dv)
         mod = 1.0 + 0.1 * np.cos(pgrid.spatial.x)

@@ -7,12 +7,12 @@ import pytest
 
 from qplasma import hartree, qfluid, simulate
 from qplasma.config import ScenarioConfig
-from qplasma.diagio import fit_damping_rate
-from qplasma.dispersion import fluid_omega_sq
 from qplasma.equilibria import Perturbation, hbar_eff
 from qplasma.fields import SpatialGrid
 
+from dielectric_reference import fluid_omega_sq
 from madelung_reference import madelung_decompose
+from run_analysis import fit_damping_rate
 
 
 def measure_mode_frequency(state, dt, n_steps, mode=1):

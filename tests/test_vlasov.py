@@ -11,8 +11,8 @@ from scipy.ndimage import map_coordinates, spline_filter1d
 from qplasma import simulate, vlasov, wigner
 from qplasma.config import ScenarioConfig
 from qplasma.dispersion import VLASOV_KINETIC, DielectricModel, solve_root
-from qplasma.equilibria import (Perturbation, projected_fd_finite_t,
-                                projected_fd_zero_t)
+from qplasma.equilibria import (PROJECTED_FD_T0, Perturbation,
+                                make_equilibrium, projected_fd_finite_t)
 from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, moments,
                             poisson_periodic, spectral_derivative)
 
@@ -149,7 +149,7 @@ class TestInitialState:
 
     def test_perturbation_modulates_density(self):
         grid = make_grid()
-        state = vlasov.initial_state(grid, projected_fd_zero_t(),
+        state = vlasov.initial_state(grid, make_equilibrium(PROJECTED_FD_T0),
                                      Perturbation(0.1, 1.0))
         n, _, _ = moments(state.f, grid)
         expected = 1.0 + 0.1 * np.cos(grid.spatial.x)
@@ -159,7 +159,7 @@ class TestInitialState:
 class TestAdvection:
     def test_homogeneous_state_invariant_under_free_streaming(self):
         grid = make_grid()
-        state = vlasov.initial_state(grid, projected_fd_zero_t())
+        state = vlasov.initial_state(grid, make_equilibrium(PROJECTED_FD_T0))
         f = state.f.copy()
         for _ in range(10):
             f = vlasov.advect_x(f, grid, 0.1)
@@ -539,7 +539,7 @@ class TestStep:
         # The half stream spreads the NaN along its velocity row, so the
         # density of the field solve is non-finite and the step raises.
         grid = make_grid(n_x=32, n_v=64)
-        state = vlasov.initial_state(grid, projected_fd_zero_t())
+        state = vlasov.initial_state(grid, make_equilibrium(PROJECTED_FD_T0))
         state.f[20, 5] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite"):
             vlasov.step(state, 0.05)
@@ -556,7 +556,7 @@ class TestStep:
             return out
 
         grid = make_grid(n_x=32, n_v=64)
-        state = vlasov.initial_state(grid, projected_fd_zero_t(),
+        state = vlasov.initial_state(grid, make_equilibrium(PROJECTED_FD_T0),
                                      Perturbation(0.01, 1.0))
         monkeypatch.setattr(vlasov, "advect_v", one_nan)
         with pytest.raises(FloatingPointError, match="non-finite"):

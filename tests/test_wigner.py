@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from qplasma import vlasov, wigner
-from qplasma.equilibria import (Equilibrium1D, Perturbation, hbar_eff,
-                                projected_fd_finite_t, projected_fd_zero_t)
+from qplasma.equilibria import (PROJECTED_FD_T0, Equilibrium1D,
+                                Perturbation, hbar_eff, make_equilibrium,
+                                projected_fd_finite_t)
 from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, moments,
                             poisson_periodic)
 
@@ -21,7 +22,8 @@ def make_grid(n_x=64, n_v=128, v_max=3.0, length=2.0 * np.pi):
 class TestStepBasics:
     def test_requires_positive_h(self):
         grid = make_grid()
-        state = wigner.initial_state(grid, projected_fd_zero_t(), 0.0)
+        state = wigner.initial_state(grid, make_equilibrium(PROJECTED_FD_T0),
+                                     0.0)
         with pytest.raises(ValueError):
             wigner.step(state, 0.05)
 
@@ -37,8 +39,8 @@ class TestStepBasics:
             return out
 
         grid = make_grid(n_x=32, n_v=64)
-        state = wigner.initial_state(grid, projected_fd_zero_t(), 1.0,
-                                     Perturbation(0.01, 1.0))
+        state = wigner.initial_state(grid, make_equilibrium(PROJECTED_FD_T0),
+                                     1.0, Perturbation(0.01, 1.0))
         monkeypatch.setattr(wigner, "potential_kick", one_nan)
         with pytest.raises(FloatingPointError, match="non-finite"):
             wigner.step(state, 0.05)
@@ -88,8 +90,8 @@ class TestStepBasics:
 
     def test_output_is_real_valued_array(self):
         grid = make_grid()
-        state = wigner.initial_state(grid, projected_fd_zero_t(), 0.5,
-                                     Perturbation(0.3, 1.0))
+        state = wigner.initial_state(grid, make_equilibrium(PROJECTED_FD_T0),
+                                     0.5, Perturbation(0.3, 1.0))
         for _ in range(20):
             state = wigner.step(state, 0.05)
         assert state.f.dtype == np.float64
@@ -105,7 +107,8 @@ class TestStepBasics:
 
     def test_large_kick_phase_warns(self):
         grid = make_grid(n_v=32)
-        state = wigner.initial_state(grid, projected_fd_zero_t(), 0.05)
+        state = wigner.initial_state(grid, make_equilibrium(PROJECTED_FD_T0),
+                                     0.05)
         steep = 50.0 * np.cos(grid.spatial.x)
         with pytest.warns(RuntimeWarning, match="aliasing"):
             wigner.potential_kick(state.f, grid, 0.05, 0.5, steep)
@@ -521,7 +524,7 @@ class TestSemiclassicalLimit:
 
     def test_zero_horizon_has_zero_deviation(self):
         grid = make_grid(n_x=32, n_v=64)
-        eq = projected_fd_zero_t()
+        eq = make_equilibrium(PROJECTED_FD_T0)
         table = semiclassical_limit_check(
             grid, eq, Perturbation(0.05, 1.0), [0.5], t_end=0.0, dt=0.02)
         assert table[0][1] == 0.0
