@@ -57,6 +57,29 @@ class TestDampingFit:
         with pytest.raises(ValueError, match="peaks"):
             fit_damping_rate(t, w, window=(0.0, 3.0))
 
+    # n peaks at random times, each an isolated sample between zeros, so
+    # the fit's line through the log-peaks is the linregress of (x, y).
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 200])
+    def test_line_fit_matches_linregress(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0.0, 50.0, n))
+        y = -0.3 * x + rng.standard_normal(n)
+        gaps = np.concatenate(([x[0] - 1.0], 0.5 * (x[1:] + x[:-1]),
+                               [x[-1] + 1.0]))
+        t = np.empty(2 * n + 1)
+        t[0::2], t[1::2] = gaps, x
+        w = np.zeros_like(t)
+        w[1::2] = np.exp(y)
+        if n < 5:
+            with pytest.raises(ValueError, match=f"only {n} field-energy "
+                                                 "peaks in window"):
+                fit_damping_rate(t, w)
+            return
+        g, _, g_err, _ = fit_damping_rate(t, w)
+        want = linregress(x, y)
+        assert g == pytest.approx(-0.5 * want.slope, rel=1e-10)
+        assert g_err == pytest.approx(0.5 * want.stderr, rel=1e-10, abs=0.0)
+
     def test_rate_error_matches_linregress_on_the_peaks(self):
         # A noisy envelope, so the rate has a nonzero standard error.
         rng = np.random.default_rng(8)
