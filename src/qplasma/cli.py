@@ -18,6 +18,7 @@ import numpy as np
 
 from . import simulate
 from .config import EQUILIBRIA, ConfigError, parse_config, read_keys
+from .constants import EV
 from .diagio import format_table
 from .dispersion import (QUANTUM_FLUID, VLASOV_KINETIC, WIGNER_KINETIC,
                          DielectricModel, k_scan)
@@ -59,7 +60,7 @@ def cmd_params(args) -> int:
         ("thermal_velocity [m/s]", scales.thermal_velocity),
         ("debye_length [m]", scales.debye_length),
         ("de_broglie_length [m]", scales.de_broglie),
-        ("fermi_energy [eV]", scales.fermi_energy / 1.602176634e-19),
+        ("fermi_energy [eV]", scales.fermi_energy / EV),
         ("fermi_temperature [K]", scales.fermi_temperature),
         ("fermi_velocity [m/s]", scales.fermi_velocity),
         ("fermi_screening_length [m]", scales.fermi_screening_length),

@@ -96,7 +96,7 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no":
 def _finite(s: str) -> float:
     if not math.isfinite(x := float(s)):
         raise ValueError(f"not a finite number: {s!r}")
-    return x
+    return x + 0.0  # -0.0 as +0.0: equal values get one text and one hash
 
 
 # The parser of each key, by the field's annotation (a string under

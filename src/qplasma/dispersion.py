@@ -39,7 +39,7 @@ class DielectricModel:
 
     kind: vlasov | wigner | multistream | fluid.
     Kinetic kinds carry an Equilibrium1D, the multistream kind a StreamSpec;
-    the fluid kind uses eps_fluid's default closure, the 1D degenerate one.
+    the fluid kind uses the 1D degenerate closure of eps_fluid.
     The vlasov kind is classical and takes only H = 0.
     """
 
@@ -162,13 +162,19 @@ def eps_multistream(k: float, omega: complex, spec: StreamSpec,
     return complex(1.0 - np.sum(p / denom))
 
 
-def eps_fluid(k: float, omega: complex, gamma: float = 3.0,
-              v0_sq: float = 1.0 / 3.0, H: float = 0.0) -> complex:
-    """Polytropic fluid dielectric,
+# The 1D degenerate closure P = n^3/3 of the fluid model: gamma = 3 and
+# v0^2 = 1/3, so gamma v0^2 = 1.
+_GAMMA_1D = 3.0
+_V0_SQ_1D = 1.0 / 3.0
+
+
+def eps_fluid(k: float, omega: complex, H: float = 0.0) -> complex:
+    """Polytropic fluid dielectric of the 1D degenerate closure,
     1 - 1 / (omega^2 - gamma K^2 v0^2 - H^2 K^4 / 16)."""
     if not 0 < k < math.inf:
         raise ValueError(f"k must be positive and finite, got {k}")
-    return 1.0 - 1.0 / (omega**2 - gamma * k**2 * v0_sq - (H * k**2 / 4.0) ** 2)
+    return 1.0 - 1.0 / (omega**2 - _GAMMA_1D * k**2 * _V0_SQ_1D
+                        - (H * k**2 / 4.0) ** 2)
 
 
 def solve_root(model: DielectricModel, k: float,

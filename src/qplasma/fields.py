@@ -49,6 +49,11 @@ class SpatialGrid:
         """Angular wavenumbers matching numpy's FFT ordering."""
         return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.dx))
 
+    @functools.cached_property
+    def rfft_wavenumbers(self) -> np.ndarray:
+        """Angular wavenumbers of numpy's rfft modes, 0 to the Nyquist one."""
+        return _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n_x, d=self.dx))
+
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
@@ -81,10 +86,8 @@ class PhaseSpaceGrid:
 
 def spectral_derivative(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """d/dx of a periodic field, exact for band-limited data."""
-    return np.fft.irfft(
-        1j * 2.0 * np.pi * np.fft.rfftfreq(grid.n_x, d=grid.dx) * np.fft.rfft(values),
-        n=grid.n_x,
-    )
+    return np.fft.irfft(1j * grid.rfft_wavenumbers * np.fft.rfft(values),
+                        n=grid.n_x)
 
 
 def _charge_spectrum(density: np.ndarray) -> np.ndarray:
@@ -104,7 +107,7 @@ def _charge_spectrum(density: np.ndarray) -> np.ndarray:
 def poisson_periodic(density: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Zero-mean phi with phi'' = density - 1 on a neutral periodic box."""
     rho_hat = _charge_spectrum(density)
-    k = 2.0 * np.pi * np.fft.rfftfreq(grid.n_x, d=grid.dx)
+    k = grid.rfft_wavenumbers
     phi_hat = np.zeros_like(rho_hat)
     phi_hat[1:] = -rho_hat[1:] / k[1:] ** 2
     return np.fft.irfft(phi_hat, n=grid.n_x)

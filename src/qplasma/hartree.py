@@ -17,6 +17,8 @@ weight 1 with the enthalpy as W.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .equilibria import Perturbation, StreamSet, hbar_eff
@@ -32,10 +34,10 @@ def perturb_streams(streams: StreamSet, pert: Perturbation) -> StreamSet:
 
 
 def _split_step(streams: StreamSet, dt: float,
-                local_potential=None) -> np.ndarray:
-    """The streams' psi after one Strang-split step; local_potential, if
-    given, is W(n) of the weighted density, added to the potential energy
-    -phi of the kick."""
+                local_potential=None) -> StreamSet:
+    """The streams, of the same type, after one Strang-split step;
+    local_potential, if given, is W(n) of the weighted density, added to
+    the potential energy -phi of the kick."""
     grid, weights = streams.grid, streams.probabilities
     hb = hbar_eff(streams.H)
     half = np.exp(-0.5j * hb * grid.wavenumbers**2 * (0.5 * dt))[None, :]
@@ -48,13 +50,12 @@ def _split_step(streams: StreamSet, dt: float,
     psi = np.fft.ifft(np.fft.fft(psi, axis=1) * half, axis=1)
     if not np.all(np.isfinite(psi.view(float))):
         raise FloatingPointError("non-finite wavefunction values")
-    return psi
+    return replace(streams, psi=psi)
 
 
 def step(streams: StreamSet, dt: float) -> StreamSet:
     """One Strang-split step; unitary per stream."""
-    return StreamSet(streams.grid, _split_step(streams, dt),
-                     streams.probabilities, streams.H)
+    return _split_step(streams, dt)
 
 
 def _wave_diagnostics(streams: StreamSet, internal_energy=None):

@@ -85,9 +85,7 @@ def step(state: FluidState, dt: float) -> FluidState:
             "kinetic phase per step exceeds pi at the grid cutoff; "
             "split-step resonance can pump grid modes, reduce dt",
             RuntimeWarning)
-    psi = _split_step(state, dt, lambda n: enthalpy(n, state.gamma, state.p0))
-    return FluidState(state.grid, psi, state.probabilities, state.H,
-                      state.gamma, state.p0)
+    return _split_step(state, dt, lambda n: enthalpy(n, state.gamma, state.p0))
 
 
 def diagnostics(state: FluidState):

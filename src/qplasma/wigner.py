@@ -85,7 +85,7 @@ def from_phase_space_field(f: np.ndarray, grid: PhaseSpaceGrid,
 @functools.lru_cache(maxsize=4)
 def _stream_table(grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     """Phase shift exp(-i k v dt), indexed [i_v, k], of an rfft over x."""
-    k = 2.0 * np.pi * np.fft.rfftfreq(grid.spatial.n_x, d=grid.spatial.dx)
+    k = grid.spatial.rfft_wavenumbers
     return _read_only(np.exp(-1j * k[None, :] * grid.v[:, None] * dt))
 
 
@@ -104,7 +104,7 @@ def _kick_shift(grid: PhaseSpaceGrid, H: float) -> np.ndarray:
     # The Nyquist node -lam_max is taken at +lam_max; the phase difference
     # is odd in lam, so only its sign changes.
     lam = np.abs(lambda_nodes(grid, H)[:grid.n_v // 2 + 1])
-    k = 2.0 * np.pi * np.fft.rfftfreq(grid.spatial.n_x, d=grid.spatial.dx)
+    k = grid.spatial.rfft_wavenumbers
     return _read_only(2j * np.sin(0.5 * k[None, :] * lam[:, None]))
 
 

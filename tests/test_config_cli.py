@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qplasma import cli
+from qplasma import cli, simulate
 from qplasma.config import (COMMON_KEYS, EQUILIBRIA, ConfigError,
                             ScenarioConfig, parse_config, read_keys)
 from qplasma.simulate import MODELS
@@ -35,6 +35,33 @@ class TestConfigParsing:
         assert cfg.dt == 0.05
         assert cfg.t_end == 50.0
         assert cfg.snapshot_times == ()
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(ScenarioConfig)
+                                     if f.type in ("float", "tuple")])
+    def test_negative_zero_parses_as_zero(self, key):
+        # -0.0 == 0, so both give one config, with one text and one hash,
+        # or the same problems where 0 is refused.
+        model = next(m for m in ("hartree", "vlasov", "fluid")
+                     if key in COMMON_KEYS + MODELS[m].keys)
+        base = {"model": model, "h": "1.0", "n_x": "32", "dt": "0.02"}
+        if model == "vlasov":
+            del base["h"]
+
+        def outcome(value):
+            entries = {**base, key: value}.items()
+            try:
+                cfg = parse_config("".join(f"{k} = {v}\n" for k, v in entries))
+            except ConfigError as err:
+                return err.problems
+            return cfg.to_text(), cfg.config_hash()
+
+        assert outcome("-0.0") == outcome("0")
+
+    def test_a_snapshot_at_negative_zero_is_tagged_t0(self, tmp_path):
+        cfg = parse_config("model = hartree\nh = 1.0\nn_x = 32\n"
+                           "t_end = 0.1\nsnapshot_times = -0.0\n")
+        paths = simulate.write_outputs(cfg, simulate.run(cfg), tmp_path)
+        assert tmp_path / f"snapshot_hartree_{cfg.config_hash()}_t0.qpsn" in paths
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# scenario\n\nmodel = vlasov  # kinetic\n")

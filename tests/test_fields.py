@@ -43,7 +43,8 @@ class TestGrids:
         assert pgrid.v[0] == -pgrid.v_max
         assert pgrid.v[-1] == pytest.approx(pgrid.v_max - pgrid.dv)
 
-    @pytest.mark.parametrize("name", ["x", "wavenumbers", "v"])
+    @pytest.mark.parametrize("name", ["x", "wavenumbers", "rfft_wavenumbers",
+                                      "v"])
     def test_grid_arrays_are_built_once_and_read_only(self, grid, pgrid, name):
         # Every reader shares the one array, so none may write to it; its
         # values are those of the formula.
@@ -55,6 +56,8 @@ class TestGrids:
             first[0] = 1.0
         expected = {"x": np.arange(64) * grid.dx,
                     "wavenumbers": 2.0 * np.pi * np.fft.fftfreq(64, d=grid.dx),
+                    "rfft_wavenumbers": 2.0 * np.pi * np.fft.rfftfreq(
+                        64, d=grid.dx),
                     "v": -3.0 + np.arange(64) * pgrid.dv}[name]
         assert np.array_equal(first, expected)
 

@@ -199,6 +199,24 @@ def test_two_runs_of_one_config_write_identical_files(model, tmp_path):
 
 
 @pytest.mark.parametrize("model", sorted(CONFIGS))
+def test_a_longer_run_repeats_the_shorter_one_bit_for_bit(model):
+    # A run's rows and snapshots up to a time do not depend on its t_end, so
+    # a t = 100 run serves checks of what happens up to t = 50.
+    cfg = CONFIGS[model]
+    short = simulate.run(cfg)
+    long = simulate.run(replace(cfg, t_end=2 * cfg.t_end))
+    rows = short.series.times.size
+    assert long.series.times.size == 2 * rows - 1
+    for col in SERIES_COLUMNS:
+        assert np.array_equal(getattr(long.series, col)[:rows],
+                              getattr(short.series, col)), col
+    assert sorted(long.snapshots) == sorted(short.snapshots) == list(
+        cfg.snapshot_times)
+    for t, snapshot in short.snapshots.items():
+        assert np.array_equal(long.snapshots[t], snapshot), t
+
+
+@pytest.mark.parametrize("model", sorted(CONFIGS))
 def test_files_unchanged_by_the_number_path_of_the_profiles(
         model, tmp_path, monkeypatch):
     # Runs sample their profiles on arrays, which still go through numpy:
