@@ -60,6 +60,12 @@ class ScenarioConfig:
     p0: float = 1.0 / 3.0
     n_streams: int = 4
 
+    def __post_init__(self):
+        # Times in order and each once, so that one run has one text and
+        # one hash however its times were written.
+        object.__setattr__(self, "snapshot_times",
+                           tuple(sorted(set(self.snapshot_times))))
+
     @property
     def length(self) -> float:
         return 2.0 * 3.141592653589793 / self.k
@@ -148,14 +154,20 @@ def _cross_problems(cfg: ScenarioConfig, passed: set):
     if {"dt", "t_end"} <= passed and not _on_step_grid(cfg.t_end, cfg.dt):
         yield "t_end", (f"t_end must be a whole number of steps of "
                         f"dt={cfg.dt}, got {cfg.t_end}")
+    previous = None  # the times are sorted (ScenarioConfig.__post_init__)
     for t in cfg.snapshot_times if {"dt", "t_end", "snapshot_times"} <= passed else ():
-        late = t > cfg.t_end * (1.0 + STEP_GRID_RTOL)
-        if late or not _on_step_grid(t, cfg.dt):
-            yield "snapshot_times", (
-                f"snapshot_times must not be after t_end={cfg.t_end}, got {t}"
-                if late else f"snapshot_times must be whole numbers of steps "
-                f"of dt={cfg.dt}, got {t}")
-            break  # one problem for the key
+        if t > cfg.t_end * (1.0 + STEP_GRID_RTOL):
+            problem = f"must not be after t_end={cfg.t_end}, got {t}"
+        elif not _on_step_grid(t, cfg.dt):
+            problem = f"must be whole numbers of steps of dt={cfg.dt}, got {t}"
+        elif previous is not None and round(previous / cfg.dt) == round(t / cfg.dt):
+            problem = (f"must fall on distinct steps of dt={cfg.dt}, got "
+                       f"{previous} and {t}")
+        else:
+            previous = t
+            continue
+        yield "snapshot_times", f"snapshot_times {problem}"
+        break  # one problem for the key
     # Of the equilibria only PROJECTED_FD reads t_over_tf (read_keys).
     if {"equilibrium", "t_over_tf"} <= passed and not 0.0 < cfg.t_over_tf <= 1.0:
         yield "t_over_tf", (f"t_over_tf must be in (0, 1] for equilibrium "

@@ -90,10 +90,9 @@ def spectral_derivative(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
                         n=grid.n_x)
 
 
-def _charge_spectrum(density: np.ndarray) -> np.ndarray:
-    """rfft of density - 1; raises ValueError unless the mean density is
-    n0 = 1 to 1e-10, and FloatingPointError if it is not finite."""
-    mean = float(np.mean(density))
+def _check_neutral(mean: float) -> None:
+    """Raises ValueError unless the mean density is n0 = 1 to 1e-10, and
+    FloatingPointError if it is not finite."""
     if not np.isfinite(mean):  # a NaN mean fails no comparison
         raise FloatingPointError(f"non-finite mean density {mean}")
     excess = mean - 1.0
@@ -101,6 +100,11 @@ def _charge_spectrum(density: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"non-neutral box: mean density deviates from n0 by {excess:.3e}"
         )
+
+
+def _charge_spectrum(density: np.ndarray) -> np.ndarray:
+    """rfft of density - 1, once _check_neutral passes its mean."""
+    _check_neutral(float(np.mean(density)))
     return np.fft.rfft(density - 1.0)
 
 
@@ -126,8 +130,13 @@ def field_energy(density: np.ndarray, grid: SpatialGrid) -> float:
     """1/2 <E^2> of the field a neutral density drives, by Parseval: the sum
     over 0 < k < n_x/2 of |rho_k|^2 / (k n_x)^2, rho_k the rfft of density
     - 1 (the x-Nyquist mode, which spectral_derivative drops, left out)."""
-    power = np.abs(_charge_spectrum(density)) ** 2
-    return float(np.sum(power * _field_weights(grid)))
+    return _spectrum_field_energy(_charge_spectrum(density), grid)
+
+
+def _spectrum_field_energy(rho_hat: np.ndarray, grid: SpatialGrid) -> float:
+    """field_energy from the rfft of the density, or of density - 1: the
+    k = 0 mode, where the two differ, has weight 0."""
+    return float(np.sum(np.abs(rho_hat) ** 2 * _field_weights(grid)))
 
 
 def moments(f: np.ndarray, grid: PhaseSpaceGrid):

@@ -32,15 +32,23 @@ a 2D interpolation:
   rows, so a tap beyond the box reads a zero however far or unevenly the
   columns move.
 
-Both phase-space models step through one Strang body, _strang, and stream
-through one row shift, _shift_rows; wigner passes its own table and kick.
-A step keeps its intermediates in two flat complex work arrays cached per
-grid: A holds only spectra, here the rfft spectrum of a half stream; B
-holds the mid-step f as a real view, which the first half stream writes
-and the kick overwrites.  The last half stream returns a new array, the
-next state.  advect_v's coefficients and window are cached per grid on
-their own, so a Wigner run never builds them.  A step allocates little
-beyond the array it returns and is not reentrant across threads.
+A phase-space state holds f, its x-spectrum F = rfft(f, axis=1), or both;
+whichever is missing is formed at its first read and kept, read-only.  A
+state built from f takes no transform, so building an initial state costs
+no FFT.  Both x-streams are Fourier multipliers along x, so both
+phase-space models step the spectrum through one Strang body, _strang,
+with one transform pair per step: the first half stream multiplies F by
+the half-step table into work array A, one irfft takes it to the mid-step
+f in work array B (a real view), the density for the Poisson solve is its
+sum over v, the kick overwrites B, one rfft takes the kicked f back, and
+the second half stream multiplies that new array, the next state's
+spectrum.  The next state holds only this spectrum; its f is formed only
+where a caller reads it (snapshots, the final state).  The diagnostics
+read only F.  advect_x, one spectral row shift (_shift_rows) of real f,
+stays for callers that stream f itself.  advect_v's coefficients and
+window are cached per grid on their own, so a Wigner run never builds
+them.  A step allocates little beyond the spectrum it returns and is not
+reentrant across threads.
 
 Each kernel equals the 2D scipy.ndimage.map_coordinates interpolation with
 the same modes to round-off; tests/test_vlasov.py keeps that interpolation
@@ -50,16 +58,17 @@ spline half-shifts are not one full shift.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .equilibria import Equilibrium1D, Perturbation
-from .fields import (PhaseSpaceGrid, _read_only, field_energy,
-                     poisson_periodic, spectral_derivative)
+from .fields import (PhaseSpaceGrid, _check_neutral, _read_only,
+                     _spectrum_field_energy, poisson_periodic,
+                     spectral_derivative)
 
 # Zero rows scipy.ndimage puts on each side of the velocity axis before the
 # "grid-constant" spline prefilter; the coefficients depend on this count.
@@ -70,12 +79,34 @@ _PREFILTER_PAD = 12
 spline_filter1d = None
 
 
-@dataclass
 class VlasovState:
-    """Distribution f indexed [i_v, i_x] on a phase-space grid."""
+    """Distribution f indexed [i_v, i_x] on a phase-space grid, held as f,
+    as its x-spectrum F = rfft(f, axis=1) (`spectrum`), or both.  The
+    constructor keeps f as given and transforms nothing; a step returns a
+    state that holds only F.  Whichever is missing is formed at its first
+    read and kept, read-only."""
 
-    f: np.ndarray
-    grid: PhaseSpaceGrid
+    def __init__(self, f: np.ndarray, grid: PhaseSpaceGrid):
+        self._f, self._spectrum, self.grid = f, None, grid
+
+    @property
+    def f(self) -> np.ndarray:
+        if self._f is None:
+            self._f = _read_only(np.fft.irfft(
+                self._spectrum, n=self.grid.spatial.n_x, axis=1))
+        return self._f
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        if self._spectrum is None:
+            self._spectrum = _read_only(np.fft.rfft(self._f, axis=1))
+        return self._spectrum
+
+    def _with_spectrum(self, spectrum: np.ndarray):
+        """This state, its other fields kept, holding only `spectrum`."""
+        state = copy.copy(self)
+        state._f, state._spectrum = None, _read_only(spectrum)
+        return state
 
 
 def initial_state(grid: PhaseSpaceGrid, eq: Equilibrium1D,
@@ -213,36 +244,55 @@ def advect_v(f: np.ndarray, grid: PhaseSpaceGrid, accel: np.ndarray,
     return np.einsum("qij,qi->ji", taps, weights, out=out)
 
 
-def _strang(state: VlasovState, dt: float, stream, kick) -> VlasovState:
-    """One Strang-split step, second order in dt: a half `stream`, Poisson,
-    `kick(f, phi, out)`, a half stream and one finite check.  The mid-step f
-    lives in work array B; the next state's f is a new array."""
+def _strang(state: VlasovState, dt: float, table, kick) -> VlasovState:
+    """One Strang-split step of the state's x-spectrum, second order in dt:
+    a half stream (a multiply by `table(grid, dt / 2)`), one irfft to the
+    mid-step f, Poisson, `kick(f, phi, out)`, one rfft, the second half
+    stream and one finite check.  The half-streamed spectrum lives in work
+    array A and the mid-step f in B; the next state's spectrum is a new
+    array."""
     grid = state.grid
-    mid = _work(grid, 1, state.f.shape, float)
-    f = stream(state.f, grid, 0.5 * dt, out=mid)
+    n_x = grid.spatial.n_x
+    half = table(grid, 0.5 * dt)
+    spectrum = np.multiply(state.spectrum, half, out=_work(grid, 0, half.shape))
+    f = np.fft.irfft(spectrum, n=n_x, axis=1,
+                     out=_work(grid, 1, (grid.n_v, n_x), float))
     phi = poisson_periodic(np.sum(f, axis=0) * grid.dv, grid.spatial)
-    f = stream(kick(f, phi, mid), grid, 0.5 * dt)
-    if not np.all(np.isfinite(f)):
+    spectrum = np.fft.rfft(kick(f, phi, f), axis=1)
+    spectrum *= half
+    if n_x % 2 == 0:
+        # The spectrum of a real f has a real x-Nyquist mode, and a half
+        # stream of real f keeps only that part of the product; Wigner's
+        # phase there is complex.
+        spectrum[:, -1].imag = 0.0
+    if not np.all(np.isfinite(spectrum)):
         raise FloatingPointError("non-finite values in f")
-    return replace(state, f=f)
+    return state._with_spectrum(spectrum)
 
 
 def step(state: VlasovState, dt: float) -> VlasovState:
     """One Strang-split step; the kick accelerates by a = dphi/dx."""
     grid = state.grid
-    return _strang(state, dt, advect_x, lambda f, phi, out: advect_v(
+    return _strang(state, dt, _x_shift_table, lambda f, phi, out: advect_v(
         f, grid, spectral_derivative(phi, grid.spatial), dt, out=out))
 
 
 def diagnostics(state: VlasovState):
-    """Box-averaged (field energy, kinetic energy, mass, momentum).  The
-    column sums of f times dv are moments' density n; the row sums of f
-    times (dv / n_x) v^2/2 and (dv / n_x) v are the kinetic energy and the
-    momentum, the box averages of moments' second moment / 2 and flux."""
-    f, grid = state.f, state.grid
-    n = np.sum(f, axis=0) * grid.dv
-    field = field_energy(n, grid.spatial)
+    """Box-averaged (field energy, kinetic energy, mass, momentum) from the
+    state's x-spectrum F alone, with no inverse transform.  The k = 0
+    column F[:, 0].real holds the row sums of f: times (dv / n_x) v^2/2 and
+    (dv / n_x) v they are the kinetic energy and the momentum, the box
+    averages of moments' second moment / 2 and flux, and their sum times
+    dv / n_x is the mass, the mean of moments' density n.  dv times F
+    summed over v is the rfft of n, whose Parseval sum is the field
+    energy."""
+    spectrum, grid = state.spectrum, state.grid
+    scale = grid.dv / grid.spatial.n_x
+    rows = spectrum[:, 0].real
+    mass = scale * float(np.sum(rows))
+    _check_neutral(mass)
+    field = _spectrum_field_energy(grid.dv * spectrum.sum(axis=0),
+                                   grid.spatial)
     v = grid.v
-    flux = np.sum(f, axis=1) * (grid.dv / grid.spatial.n_x) * v
-    return (field, 0.5 * float(np.sum(flux * v)), float(np.mean(n)),
-            float(np.sum(flux)))
+    flux = rows * scale * v
+    return (field, 0.5 * float(np.sum(flux * v)), mass, float(np.sum(flux)))

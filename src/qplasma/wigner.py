@@ -33,16 +33,19 @@ The tables that depend only on the grid and H (the spectral shift
 streaming phases exp(-i k v dt)) are built once and kept, read-only, in
 small functools.lru_cache helpers.
 
-A step runs vlasov's Strang body, and its half stream vlasov's row shift,
-with this module's kick and table; the vlasov module describes the work
-arrays they share, which also hold the kick's spectra and factor.
+A step runs vlasov's Strang body on the state's x-spectrum with this
+module's stream table and kick, so its two half streams are two multiplies
+by exp(-i k v dt/2) and the step takes one transform pair over x; the real
+x-Nyquist part of the product is kept, as an irfft would keep it.
+advect_x applies the same table to real f through vlasov's row shift.  The
+vlasov module describes the state, held as f, as its x-spectrum or both,
+and the work arrays, which also hold the kick's spectra and factor.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +54,13 @@ from .fields import PhaseSpaceGrid, _read_only
 from . import vlasov as _vlasov
 
 
-@dataclass
 class WignerState(_vlasov.VlasovState):
-    """Real phase-space field f indexed [i_v, i_x], with quantum scale H."""
+    """Real phase-space field f indexed [i_v, i_x], with quantum scale H,
+    held as f, as its x-spectrum, or both, as a VlasovState is."""
 
-    H: float
+    def __init__(self, f: np.ndarray, grid: PhaseSpaceGrid, H: float):
+        super().__init__(f, grid)
+        self.H = H
 
 
 def lambda_nodes(grid: PhaseSpaceGrid, H: float) -> np.ndarray:
@@ -149,9 +154,10 @@ def step(state: WignerState, dt: float) -> WignerState:
     """One Strang-split step: half stream, field solve, kick, half stream."""
     if state.H <= 0:
         raise ValueError("quantum transport requires H > 0")
-    return _vlasov._strang(state, dt, advect_x, lambda f, phi, out: (
+    return _vlasov._strang(state, dt, _stream_table, lambda f, phi, out: (
         potential_kick(f, state.grid, state.H, dt, phi, out=out)))
 
 
-# The diagnostics read only f and its grid, as for the classical model.
+# The diagnostics read only the x-spectrum and its grid, as for the
+# classical model.
 diagnostics = _vlasov.diagnostics

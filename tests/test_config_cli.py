@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from qplasma import cli, simulate
 from qplasma.config import (COMMON_KEYS, EQUILIBRIA, ConfigError,
-                            ScenarioConfig, parse_config, read_keys)
+                            ScenarioConfig, parse_config, read_keys,
+                            validate)
 from qplasma.simulate import MODELS
 
 from dielectric_reference import fluid_omega_sq
@@ -297,6 +298,33 @@ class TestConfigParsing:
                            f"t_end = {3 * 0.05!r}\n"
                            f"snapshot_times = 0.0,0.1,{3 * 0.05!r}\n")
         assert cfg.t_end == 3 * 0.05
+
+    SNAPSHOT_RUN = ("model = hartree\nh = 1.0\nn_x = 32\ndt = 0.1\n"
+                    "t_end = 0.2\nsnapshot_times = ")
+
+    def test_snapshot_times_in_any_order_or_repeated_are_one_config(self):
+        cfg = parse_config(self.SNAPSHOT_RUN + "0.1,0.2\n")
+        assert cfg.snapshot_times == (0.1, 0.2)
+        assert cfg.config_hash() == "a437477f1fb9"  # as before: sorted, distinct
+        assert parse_config(self.SNAPSHOT_RUN + "0.2, 0.1, 0.2\n") == cfg
+        once = parse_config(self.SNAPSHOT_RUN + "0.1\n")
+        twice = parse_config(self.SNAPSHOT_RUN + "0.1, 0.1\n")
+        assert (twice, twice.config_hash()) == (once, once.config_hash())
+        built = ScenarioConfig(model="hartree", snapshot_times=(0.2, 0.1, 0.2))
+        assert built.snapshot_times == (0.1, 0.2)
+
+    def test_two_snapshot_times_on_one_step_are_one_problem(self):
+        # simulate.run keys each snapshot by its step, so one of the two
+        # would be dropped.
+        with pytest.raises(ConfigError) as err:
+            parse_config(self.SNAPSHOT_RUN + "0.2, 0.1, 0.10000000000000002, "
+                         "0.2000000000000001\n")
+        assert err.value.problems == [
+            "line 6: snapshot_times must fall on distinct steps of dt=0.1, "
+            "got 0.1 and 0.10000000000000002"]
+        cfg = ScenarioConfig(model="hartree", h=1.0, n_x=32, dt=0.1,
+                             t_end=0.2, snapshot_times=(0.1 + 2**-55, 0.1))
+        assert [key for key, _ in validate(cfg)] == ["snapshot_times"]
 
     def test_overrides_apply_after_the_file(self):
         cfg = parse_config("model = vlasov\nalpha = 0.1\n",

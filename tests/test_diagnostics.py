@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from qplasma import fields, hartree, qfluid, vlasov, wigner
-from qplasma.equilibria import StreamSet, hbar_eff
+from qplasma.equilibria import (Perturbation, StreamSet, hbar_eff,
+                                projected_fd_finite_t)
 from qplasma.fields import (PhaseSpaceGrid, SpatialGrid, field_energy,
                             moments, poisson_periodic, spectral_derivative)
 
@@ -91,14 +92,26 @@ def moving_streams(n_x, seed, m, weights, H=1.0):
     return StreamSet(grid, psi, weights, H)
 
 
-def assert_matches(got, want, scale):
+def spectral_mass(state):
+    """The k = 0 mode of the x-spectrum of f, times dv / n_x: the rectangle
+    rule of the moments' mean density, summed in another order."""
+    n_x = state.grid.spatial.n_x
+    return state.grid.dv / n_x * np.sum(np.fft.rfft(state.f, axis=1)[:, 0].real)
+
+
+def assert_matches(got, want, scale, mass=None):
     """Energies within ROUND_OFF relative (abs=0: pytest.approx would
-    otherwise also accept anything within 1e-12), mass bit for bit,
-    momentum within ROUND_OFF of `scale`."""
-    field, kinetic, mass, momentum = got
+    otherwise also accept anything within 1e-12), mass bit for bit (with
+    `mass` when given, and then within ROUND_OFF of want's), momentum
+    within ROUND_OFF of `scale`."""
+    field, kinetic, got_mass, momentum = got
     assert field == pytest.approx(want[0], rel=ROUND_OFF, abs=0)
     assert kinetic == pytest.approx(want[1], rel=ROUND_OFF, abs=0)
-    assert mass == want[2]
+    if mass is None:
+        assert got_mass == want[2]
+    else:
+        assert got_mass == mass
+        assert got_mass == pytest.approx(want[2], rel=ROUND_OFF, abs=0)
     assert abs(momentum - want[3]) <= ROUND_OFF * scale
 
 
@@ -188,7 +201,8 @@ class TestPhaseSpace:
         state = vlasov.VlasovState(f, grid)
         want, scale = reference_phase_space(state)
         assert want[3] > 0.3  # the drift does not cancel
-        assert_matches(vlasov.diagnostics(state), want, scale)
+        assert_matches(vlasov.diagnostics(state), want, scale,
+                       spectral_mass(state))
 
     @pytest.mark.parametrize("n_x", N_X)
     def test_wigner_matches_the_moments_of_a_signed_field(self, n_x):
@@ -199,7 +213,8 @@ class TestPhaseSpace:
         state = wigner.WignerState(f, grid, 1.0)
         want, scale = reference_phase_space(state)
         assert want[3] < -0.3
-        assert_matches(wigner.diagnostics(state), want, scale)
+        assert_matches(wigner.diagnostics(state), want, scale,
+                       spectral_mass(state))
 
 
 class TestWavefunctions:
@@ -254,10 +269,19 @@ def test_no_diagnostic_takes_an_inverse_transform(module, monkeypatch):
              hartree: one,
              qfluid: qfluid.FluidState(one.grid, one.psi, one.probabilities,
                                        one.H)}[module]
+    # A stepped phase-space state holds only its x-spectrum: reading its f
+    # would take an irfft.
+    eq, pert = projected_fd_finite_t(t_over_tf=0.01), Perturbation(0.1, 1.0)
+    states = [state] + {
+        vlasov: lambda: [vlasov.step(vlasov.initial_state(grid, eq, pert),
+                                     0.05)],
+        wigner: lambda: [wigner.step(wigner.initial_state(grid, eq, 1.0, pert),
+                                     0.05)]}.get(module, list)()
 
     def refuse(*args, **kwargs):
         raise AssertionError("inverse transform in a diagnostic")
 
     for name in ("ifft", "irfft"):
         monkeypatch.setattr(np.fft, name, refuse)
-    assert np.isfinite(module.diagnostics(state)).all()
+    for state in states:
+        assert np.isfinite(module.diagnostics(state)).all()

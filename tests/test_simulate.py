@@ -2,6 +2,9 @@
 step function, exact read-back of every file write_outputs produces and
 byte-identical files from two runs of one config."""
 
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -229,6 +232,54 @@ def test_files_unchanged_by_the_number_path_of_the_profiles(
     assert [Path(p).name for p in new] == [Path(p).name for p in old]
     for a, b in zip(new, old):
         assert Path(a).read_bytes() == Path(b).read_bytes(), Path(a).name
+
+
+@pytest.mark.parametrize("model", ["vlasov", "wigner"])
+def test_building_a_phase_space_state_takes_no_fft(model, monkeypatch):
+    # The state keeps the f it is built from; its x-spectrum is formed at
+    # the first step or diagnostic, so the set-up costs no transform.
+    def refuse(*args, **kwargs):
+        raise AssertionError("FFT while building the initial state")
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    cfg = CONFIGS[model]
+    assert simulate.build_initial(cfg).f.shape == (cfg.n_v, cfg.n_x)
+
+
+# A fresh interpreter: glibc's trim and mmap thresholds depend on what the
+# process allocated and freed before, and the test process has imported
+# much more than a run does.
+WARM_STEP_FAULTS = """
+import resource
+from qplasma import simulate
+from qplasma.config import ScenarioConfig
+cfg = ScenarioConfig(model={model!r}, h=1.0, n_x=256, n_v=256)
+solver = simulate.MODELS[cfg.model].solver
+state = simulate.build_initial(cfg)
+for i in range(105):
+    if i == 5:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    state = solver.step(state, cfg.dt)
+    solver.diagnostics(state)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.parametrize("model", ["vlasov", "wigner"])
+def test_warm_steps_take_no_page_faults(model):
+    # The work arrays keep the step loop's heap steady: 100 warm 256x256
+    # steps with their diagnostics read 0-1 minor faults (about 117 per
+    # step when each step's intermediates were new arrays).
+    pytest.importorskip("resource")
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", WARM_STEP_FAULTS.format(model=model)],
+        env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) <= 10
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 3")
